@@ -2,7 +2,7 @@
 independent routes, hypercube decompositions of intervals, shortcut and
 double-shortcut multisets, and exhaustive verification sweeps."""
 
-from .interval import Interval, Path, build_interval, comparable_pairs, dual_element, interval
+from .interval import Interval, Path, comparable_pairs, dual_element, interval
 from .permutations import (
     Perm,
     Reflection,
@@ -28,7 +28,6 @@ from .rpoly import (
     reflection_order_from_word,
     rtilde,
     rtilde_dyer,
-    rtilde_recurrence,
 )
 from .hcd import (
     HypercubeEmbedding,

@@ -6,7 +6,9 @@ by one record per entry, e.g.::
     {"n": 4, "u": "1234", "v": "4321", "coeffs": [0, 2, 0, 3, 0, 1]}
 
 New entries are appended as they are computed, so interrupted sweeps keep
-their work.  The environment variable ``BRUHAT_CACHE`` supplies a default
+their work.  An unterminated last line that does not parse, as an interrupted
+append leaves it, is cut off when the file is opened; a bad line anywhere else
+is an error.  The environment variable ``BRUHAT_CACHE`` supplies a default
 path when none is configured explicitly.
 """
 
@@ -57,6 +59,8 @@ class PolyCache:
                         key = (parse_perm(rec["u"]), parse_perm(rec["v"]))
                         self._memo[key] = tuple(int(c) for c in rec["coeffs"])
                     except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                        if next(fh, None) is None and _drop_torn_tail(path):
+                            break
                         raise CacheError(f"{path}: bad cache record {line!r}") from exc
             self._fh = open(path, "a", encoding="utf-8")
         else:
@@ -94,6 +98,17 @@ class PolyCache:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+
+
+def _drop_torn_tail(path: str) -> bool:
+    """Truncate the file after its last line break, dropping the unterminated
+    line that an interrupted append leaves; False if the file ends whole."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data.endswith(b"\n"):
+            return False
+        fh.truncate(data.rfind(b"\n") + 1)
+        return True
 
 
 def default_cache_path() -> str | None:

@@ -41,7 +41,6 @@ EXIT_CONFIG = 5
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", metavar="PATH", help="polynomial cache file (default: $BRUHAT_CACHE)")
     parser.add_argument("--no-cache", action="store_true", help="keep the polynomial memo in memory only")
-    parser.add_argument("--threads", type=int, default=1, metavar="K")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
 
@@ -89,16 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-interval-size", type=int)
     p.add_argument("--timings", action="store_true", help="include per-record timings (breaks byte-identical reports)")
+    p.add_argument("--threads", type=int, default=1, metavar="K")
     _common(p)
     return parser
 
 
 def _configure_cache(args) -> None:
     if getattr(args, "no_cache", False):
-        set_cache(PolyCache(None))
-        return
-    path = getattr(args, "cache", None) or default_cache_path()
-    set_cache(PolyCache(path))
+        path = None
+    else:
+        path = getattr(args, "cache", None) or default_cache_path()
+    set_cache(PolyCache(path)).close()
 
 
 @contextmanager

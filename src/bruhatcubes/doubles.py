@@ -19,13 +19,14 @@ from functools import lru_cache
 from .errors import OrderError
 from .interval import Interval, interval
 from .permutations import Perm, direct_sum, format_perm, length, split_direct_sum
-from .polynomials import QPoly, ZERO, padd, poly_str, pshift
+from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str, pshift
 from .hcd import (
     enumerate_hcds,
     is_amazing,
     is_amazing_r_element,
     is_r_element,
     join,
+    rtilde_z,
     shortcuts,
 )
 from .rpoly import rtilde
@@ -192,12 +193,6 @@ def bologna_chain(I: Interval, z: Perm, zp: Perm) -> list[QPoly]:
     u, v = I.u, I.v
     du = I.dist[u]
 
-    def single(w: Perm) -> QPoly:
-        total: QPoly = ZERO
-        for p in shortcuts(I, w):
-            total = padd(total, pshift(rtilde(p, v), du[p]))
-        return total
-
     def double(w: Perm, wp: Perm) -> QPoly:
         total: QPoly = ZERO
         for p in shortcuts(I, w):
@@ -211,19 +206,17 @@ def bologna_chain(I: Interval, z: Perm, zp: Perm) -> list[QPoly]:
     def from_multiset(ms: DegreeMultiset) -> QPoly:
         total: QPoly = ZERO
         for (a, b), k in sorted(ms.items()):
-            term = pshift(rtilde(b, v), a)
-            for _ in range(k):
-                total = padd(total, term)
+            total = padd(total, pmul(monomial(a, k), rtilde(b, v)))
         return total
 
     return [
         rtilde(u, v),
-        single(z),
+        rtilde_z(I, z),
         double(z, zp),
         from_multiset(ds_multiset(I, z, zp)),
         from_multiset(ds_multiset(I, zp, z)),
         double(zp, z),
-        single(zp),
+        rtilde_z(I, zp),
     ]
 
 

@@ -28,6 +28,7 @@ from .permutations import (
     incomparable,
     inverse,
     length,
+    lower_neighbors,
 )
 from .polynomials import QPoly, ZERO, padd, pshift
 from .rpoly import rtilde
@@ -35,20 +36,6 @@ from .rpoly import rtilde
 
 # ---------------------------------------------------------------------------
 # hypercube spanning (ambient-group level)
-
-
-@lru_cache(maxsize=1 << 17)
-def lower_neighbors(y: Perm) -> frozenset[Perm]:
-    """In-neighbors of y in the Bruhat graph of its whole symmetric group."""
-    n = len(y)
-    out = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if y[i] > y[j]:
-                w = list(y)
-                w[i], w[j] = w[j], w[i]
-                out.append(tuple(w))
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -129,23 +116,12 @@ def _assignments(top: Perm, sources: tuple[Perm, ...], cap: int | None) -> list[
 
 
 def _check_edge_family(top: Perm, sources: tuple[Perm, ...]) -> None:
-    lt = length(top)
+    arrows_in = lower_neighbors(top)
     for s in sources:
-        t = _link(s, top)
-        if t is None or not length(s) < lt:
+        if s not in arrows_in:
             raise OrderError(
                 f"{format_perm(s)} -> {format_perm(top)} is not a Bruhat-graph arrow"
             )
-
-
-def _link(x: Perm, y: Perm):
-    diff = [i for i, (a, b) in enumerate(zip(x, y)) if a != b]
-    if len(diff) != 2:
-        return None
-    i, j = diff
-    if x[i] == y[j] and x[j] == y[i]:
-        return (i + 1, j + 1)
-    return None
 
 
 @lru_cache(maxsize=1 << 17)

@@ -7,6 +7,16 @@ inside the interval; this equals the ambient-group distance because any
 directed path between interval members stays inside the interval (edges
 increase Bruhat order).
 
+All of it comes from one walk down the Bruhat graph, whose arrows into y are
+:func:`~bruhatcubes.permutations.lower_neighbors` (y).  Two facts make the
+walk enough (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2):
+
+* every x in [u, v] is reached from v by arrows through elements >= u,
+  namely down a maximal chain of covers from v to x; so the members are the
+  elements the walk from v reaches while it keeps only elements above u;
+* the order inside [u, v] is the transitive closure of the arrows in
+  [u, v], so each up-set is x together with the up-sets of the arrows' heads.
+
 Intervals are immutable once built and hash/compare by (u, v), so they can be
 shared freely and used as cache keys.  Use the module-level :func:`interval`
 factory to get memoized instances.
@@ -27,8 +37,8 @@ from .permutations import (
     format_perm,
     length,
     longest_element,
-    reflections,
-    right_multiply_reflection,
+    lower_neighbors,
+    transposition_link,
 )
 
 MAX_RANK = 7
@@ -60,16 +70,10 @@ class Interval:
         self.n = n
         self.u = u
         self.v = v
-        lu, lv = length(u), length(v)
-        members = [
-            x
-            for x in all_perms(n)
-            if lu <= length(x) <= lv and bruhat_leq(u, x) and bruhat_leq(x, v)
-        ]
-        members.sort(key=lambda x: (length(x), x))
-        self.elements: tuple[Perm, ...] = tuple(members)
+        members = _members(u, v)
+        self.elements: tuple[Perm, ...] = tuple(sorted(members, key=lambda x: (length(x), x)))
         self.element_set: frozenset[Perm] = frozenset(members)
-        self.rank_length: int = lv - lu
+        self.rank_length: int = length(v) - length(u)
 
     # ---- identity -----------------------------------------------------
 
@@ -100,14 +104,13 @@ class Interval:
 
     @cached_property
     def up(self) -> dict[Perm, frozenset[Perm]]:
-        """x -> {y in interval : x <= y}."""
-        lens = {x: length(x) for x in self.elements}
-        ups: dict[Perm, set[Perm]] = {x: {x} for x in self.elements}
-        for x in self.elements:
-            for y in self.elements:
-                if lens[x] < lens[y] and bruhat_leq(x, y):
-                    ups[x].add(y)
-        return {x: frozenset(s) for x, s in ups.items()}
+        """x -> {y in interval : x <= y}, closed over the arrows from the top
+        down."""
+        out = self.out_nbrs
+        ups: dict[Perm, frozenset[Perm]] = {}
+        for x in reversed(self.elements):
+            ups[x] = frozenset({x}.union(*(ups[y] for y in out[x])))
+        return {x: ups[x] for x in self.elements}
 
     @cached_property
     def down(self) -> dict[Perm, frozenset[Perm]]:
@@ -130,24 +133,15 @@ class Interval:
 
     @cached_property
     def _graph(self) -> tuple[dict, dict, dict]:
+        members = self.element_set
+        inn = {y: members & lower_neighbors(y) for y in self.elements}
         out: dict[Perm, set[Perm]] = {x: set() for x in self.elements}
-        inn: dict[Perm, set[Perm]] = {x: set() for x in self.elements}
         labels: dict[tuple[Perm, Perm], Reflection] = {}
-        lens = {x: length(x) for x in self.elements}
-        ts = reflections(self.n)
-        for x in self.elements:
-            lx = lens[x]
-            for t in ts:
-                y = right_multiply_reflection(x, t)
-                if y in self.element_set and lx < lens[y]:
-                    out[x].add(y)
-                    inn[y].add(x)
-                    labels[(x, y)] = t
-        return (
-            {x: frozenset(s) for x, s in out.items()},
-            {x: frozenset(s) for x, s in inn.items()},
-            labels,
-        )
+        for y, sources in inn.items():
+            for x in sources:
+                out[x].add(y)
+                labels[(x, y)] = transposition_link(x, y)
+        return {x: frozenset(s) for x, s in out.items()}, inn, labels
 
     @property
     def out_nbrs(self) -> dict[Perm, frozenset[Perm]]:
@@ -270,11 +264,6 @@ def interval(u: Perm, v: Perm) -> Interval:
     return Interval(u, v)
 
 
-def build_interval(u: Perm, v: Perm) -> Interval:
-    """Construct (or fetch the shared copy of) the interval [u, v]."""
-    return interval(u, v)
-
-
 def comparable_pairs(n: int) -> list[tuple[Perm, Perm]]:
     """All Bruhat-comparable pairs (u, v) in rank n, deterministic order."""
     elems = sorted(all_perms(n), key=lambda x: (length(x), x))
@@ -291,9 +280,17 @@ def interval_size(u: Perm, v: Perm) -> int:
     """|[u, v]| without building the interval object."""
     if not bruhat_leq(u, v):
         return 0
-    lu, lv = length(u), length(v)
-    return sum(
-        1
-        for x in all_perms(len(u))
-        if lu <= length(x) <= lv and bruhat_leq(u, x) and bruhat_leq(x, v)
-    )
+    return len(_members(u, v))
+
+
+def _members(u: Perm, v: Perm) -> set[Perm]:
+    """The elements of [u, v], for u <= v: those reached from v down the
+    arrows of the Bruhat graph while staying above u."""
+    found = {v}
+    stack = [v]
+    while stack:
+        for x in lower_neighbors(stack.pop()):
+            if x not in found and bruhat_leq(u, x):
+                found.add(x)
+                stack.append(x)
+    return found

@@ -170,6 +170,25 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
     return True
 
 
+@lru_cache(maxsize=1 << 17)
+def lower_neighbors(y: Perm) -> frozenset[Perm]:
+    """In-neighbors of y in the Bruhat graph of its whole symmetric group:
+    the ``y * t`` for every reflection t = (i, j) with y(i) > y(j).
+
+    >>> sorted(lower_neighbors((2, 3, 1)))
+    [(1, 3, 2), (2, 1, 3)]
+    """
+    n = len(y)
+    out = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if y[i] > y[j]:
+                w = list(y)
+                w[i], w[j] = w[j], w[i]
+                out.append(tuple(w))
+    return frozenset(out)
+
+
 def incomparable(x: Perm, y: Perm) -> bool:
     return not bruhat_leq(x, y) and not bruhat_leq(y, x)
 

@@ -79,10 +79,6 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
     return poly
 
 
-def rtilde_recurrence(u: Perm, v: Perm) -> QPoly:
-    return rtilde(u, v)
-
-
 # ---------------------------------------------------------------------------
 # reflection orders
 

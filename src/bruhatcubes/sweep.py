@@ -14,7 +14,7 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .appendix import (
     is_cosimple,
@@ -70,7 +70,6 @@ class SweepConfig:
     max_interval_size: int | None = None
     threads: int = 1
     timings: bool = False
-    lemma_order_limit: int | None = field(default=None)
 
     def fingerprint(self) -> dict:
         return {
@@ -101,6 +100,8 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.n < 1:
         raise ConfigError("rank must be positive")
+    if cfg.max_interval_size is not None and cfg.max_interval_size < 1:
+        raise ConfigError("interval size bound must be positive")
     if cfg.mode == "sample":
         if cfg.seed is None:
             raise ConfigError("sample mode requires a seed")
@@ -280,9 +281,7 @@ def check_lemma_paths(I: Interval, cfg: SweepConfig) -> list[dict]:
                 "reason": "not co-simple",
             }
         ]
-    limit = cfg.lemma_order_limit
-    if limit is None and I.n >= 5:
-        limit = 48
+    limit = 48 if I.n >= 5 else None
     records = []
     for z in standard_hcds(I):
         records.append(verify_lemma_incpaths(I, z, reading="crossing", order_limit=limit))

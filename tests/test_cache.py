@@ -70,21 +70,62 @@ def test_warm_cache_changes_no_results(tmp_path):
     try:
         _, cold_records, cold_code = run_sweep(cfg)
     finally:
-        set_cache(old)
+        set_cache(old).close()
 
     # warm file cache
     old = set_cache(PolyCache(str(path)))
     try:
         _, warm_records, warm_code = run_sweep(cfg)
     finally:
-        set_cache(old)
+        set_cache(old).close()
 
     # no cache file at all
     old = set_cache(PolyCache(None))
     try:
         _, memory_records, memory_code = run_sweep(cfg)
     finally:
-        set_cache(old)
+        set_cache(old).close()
 
     assert cold_records == warm_records == memory_records
     assert cold_code == warm_code == memory_code == 0
+
+
+def _write_cache(path, lines):
+    header = json.dumps({"cache_version": CACHE_VERSION})
+    path.write_text("\n".join([header, *lines]))
+
+
+RECORD_231 = json.dumps({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
+RECORD_321 = json.dumps({"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]})
+
+
+def test_torn_last_line_is_dropped(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    torn = '{"n": 3, "u": "123", "v": "2'
+    _write_cache(path, [RECORD_231, torn])
+    memo = PolyCache(str(path))
+    assert len(memo) == 1
+    assert memo.get((1, 2, 3), (2, 3, 1)) == (0, 0, 1)
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.close()
+    lines = path.read_text().splitlines()
+    assert torn not in lines
+    assert [json.loads(line) for line in lines[1:]] == [
+        json.loads(RECORD_231),
+        json.loads(RECORD_321),
+    ]
+    reloaded = PolyCache(str(path))
+    assert len(reloaded) == 2
+    reloaded.close()
+
+
+def test_bad_line_before_the_end_still_fails(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    _write_cache(path, ['{"n": 3, "u": "123", "v": "2', RECORD_321])
+    with pytest.raises(CacheError):
+        PolyCache(str(path))
+    # a bad last line that is terminated was not cut short by an append
+    _write_cache(path, [RECORD_231, '{"n": 3, "u": "123", "v": "2', ""])
+    with pytest.raises(CacheError):
+        PolyCache(str(path))
+    assert path.read_text().endswith('"v": "2\n')

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
 from bruhatcubes.cli import main
+from bruhatcubes.errors import ConfigError
+from bruhatcubes.rpoly import get_cache, set_cache
+from bruhatcubes.sweep import SweepConfig, validate_config
 
 
 def run(capsys, *argv):
@@ -241,3 +246,33 @@ def test_verify_threads_match_single(capsys):
     _, solo, _ = run(capsys, *argv)
     _, pooled, _ = run(capsys, *argv, "--threads", "4")
     assert solo.splitlines()[1:] == pooled.splitlines()[1:]
+
+
+def test_threads_is_a_verify_option_only(capsys):
+    with pytest.raises(SystemExit):
+        main(["rtilde", "--u", "123", "--v", "321", "--no-cache", "--threads", "2"])
+    capsys.readouterr()
+
+
+def test_size_bound_below_one_is_rejected():
+    # the rejection sampler could never draw an interval of size 0
+    for mode in ("sample", "exhaustive"):
+        cfg = SweepConfig(n=3, checks=("dyer",), mode=mode, seed=1, max_interval_size=0)
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+    validate_config(SweepConfig(n=3, checks=("dyer",), mode="sample", seed=1, max_interval_size=1))
+
+
+def test_replaced_cache_file_is_closed(tmp_path, capsys):
+    path = str(tmp_path / "poly.jsonl")
+    argv = ["rtilde", "--u", "123", "--v", "321", "--cache", path]
+    previous = get_cache()
+    try:
+        assert main(argv) == 0
+        first = get_cache()
+        assert main(argv) == 0
+        assert first._fh is None
+    finally:
+        set_cache(previous).close()
+    capsys.readouterr()
+

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatcubes.errors import OrderError
 from bruhatcubes.interval import (
     Interval,
-    build_interval,
     comparable_pairs,
     dual_element,
     interval,
@@ -20,6 +23,8 @@ from oracles import (
     bruhat_edges_brute,
     geodesics_brute,
     interval_elements_brute,
+    subword_leq,
+    subword_products,
 )
 
 E3 = identity(3)
@@ -44,7 +49,7 @@ def test_build_small():
 
 def test_build_requires_comparable():
     with pytest.raises(OrderError):
-        build_interval((2, 1, 3), (1, 3, 2))
+        interval((2, 1, 3), (1, 3, 2))
 
 
 def test_elements_match_subword_oracle_s4():
@@ -191,7 +196,7 @@ def test_lower_decompositions_via_dual():
 
 def test_interval_caching_shares_instances():
     a = interval(E3, W3)
-    b = build_interval(E3, W3)
+    b = interval(E3, W3)
     assert a is b
     assert a == Interval(E3, W3)
 
@@ -205,3 +210,47 @@ def test_element_order_is_length_then_window():
     I = interval(identity(4), longest_element(4))
     assert list(I.elements) == sorted(I.elements, key=lambda x: (length(x), x))
     assert I.elements[0] == I.u and I.elements[-1] == I.v
+
+
+# ---------------------------------------------------------------------------
+# the walk down the Bruhat graph against the subword oracles
+
+
+def _oracle_order_matches(I):
+    """Every up-set and down-set of I equals the subword-oracle cone."""
+    for x in I:
+        assert I.up[x] == {y for y in I if subword_leq(x, y)}
+        assert I.down[x] == {y for y in I if subword_leq(y, x)}
+
+
+def test_order_matches_subword_oracle_on_every_s4_interval():
+    for u, v in comparable_pairs(4):
+        _oracle_order_matches(interval(u, v))
+
+
+def test_interval_size_matches_subword_oracle_on_every_s4_pair():
+    s4 = list(itertools.permutations(range(1, 5)))
+    for u in s4:
+        for v in s4:
+            assert interval_size(u, v) == len(interval_elements_brute(u, v))
+
+
+@st.composite
+def comparable_pair(draw):
+    """A pair u <= v of rank 5 or 6, u drawn from the subword cone of v."""
+    n = draw(st.sampled_from((5, 6)))
+    v = draw(st.permutations(range(1, n + 1)).map(tuple))
+    u = draw(st.sampled_from(sorted(subword_products(v))))
+    return u, v
+
+
+@given(pair=comparable_pair())
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_subword_oracle_s5_s6(pair):
+    u, v = pair
+    brute = interval_elements_brute(u, v)
+    I = interval(u, v)
+    assert I.elements == tuple(sorted(brute, key=lambda x: (length(x), x)))
+    assert interval_size(u, v) == len(brute)
+    for x in I:
+        assert I.up[x] == {y for y in brute if subword_leq(x, y)}
