@@ -1,15 +1,21 @@
 """Persistent memo for R-tilde polynomials.
 
-The on-disk format is JSON lines: a header ``{"cache_version": 1}`` followed
+The on-disk format is JSON lines: a header ``{"cache_version": 2}`` followed
 by one record per entry, e.g.::
 
-    {"n": 4, "u": "1234", "v": "4321", "coeffs": [0, 2, 0, 3, 0, 1]}
+    {"n": 4, "u": "1234", "v": "4321", "coeffs": [0, 0, 1, 0, 3, 0, 1], "crc": 3400976302}
+
+``crc`` is the ``zlib.crc32`` of the record's own text up to the comma before
+``"crc"``, so an edited record fails its check on load instead of silently
+changing results.  It detects edits and damage, not forgeries: anyone who
+edits a record can recompute its crc.  Files of version 1, whose records have
+no crc, still load, unchecked, and are appended to in their own format.
 
 New entries are appended as they are computed, so interrupted sweeps keep
-their work.  An unterminated last line that does not parse, as an interrupted
-append leaves it, is cut off when the file is opened; a bad line anywhere else
-is an error.  The environment variable ``BRUHAT_CACHE`` supplies a default
-path when none is configured explicitly.
+their work.  An unterminated last line that does not parse or fails its
+check, as an interrupted append leaves it, is cut off when the file is
+opened; a bad line anywhere else is an error.  The environment variable
+``BRUHAT_CACHE`` supplies a default path when none is configured explicitly.
 """
 
 from __future__ import annotations
@@ -17,13 +23,16 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zlib
 
 from .errors import CacheError
 from .permutations import Perm, format_perm, parse_perm
 from .polynomials import QPoly
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 ENV_VAR = "BRUHAT_CACHE"
+_CRC = ', "crc": '
 
 
 class PolyCache:
@@ -37,6 +46,7 @@ class PolyCache:
         self._lock = threading.Lock()
         self._path = path
         self._fh = None
+        self._version = CACHE_VERSION
         if path is not None:
             self._open(path)
 
@@ -46,23 +56,39 @@ class PolyCache:
                 header_line = fh.readline()
                 try:
                     header = json.loads(header_line)
-                except json.JSONDecodeError as exc:
+                    version = self._version = header.get("cache_version")
+                except (json.JSONDecodeError, AttributeError) as exc:
                     raise CacheError(f"{path}: bad cache header") from exc
-                if header.get("cache_version") != CACHE_VERSION:
-                    raise CacheError(f"{path}: unsupported cache_version {header.get('cache_version')}")
+                if version not in READABLE_VERSIONS:
+                    raise CacheError(f"{path}: unsupported cache_version {version}")
+                windows: dict[str, Perm] = {}
+
+                def window(text: str) -> Perm:
+                    # each distinct window is parsed and validated once per load
+                    w = windows.get(text)
+                    if w is None:
+                        w = windows[text] = parse_perm(text)
+                    return w
+
                 for line in fh:
                     line = line.strip()
                     if not line:
                         continue
                     try:
+                        if version >= 2:
+                            _check_crc(line)
                         rec = json.loads(line)
-                        key = (parse_perm(rec["u"]), parse_perm(rec["v"]))
-                        self._memo[key] = tuple(int(c) for c in rec["coeffs"])
-                    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                        key = (window(rec["u"]), window(rec["v"]))
+                        self._memo[key] = tuple(map(int, rec["coeffs"]))
+                    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                         if next(fh, None) is None and _drop_torn_tail(path):
                             break
-                        raise CacheError(f"{path}: bad cache record {line!r}") from exc
+                        raise CacheError(f"{path}: bad cache record {line!r} ({exc})") from exc
             self._fh = open(path, "a", encoding="utf-8")
+            if not _ends_with_newline(path):
+                # a whole last record without its line break: end it, so
+                # that the next append starts a line of its own
+                self._fh.write("\n")
         else:
             self._fh = open(path, "w", encoding="utf-8")
             self._fh.write(json.dumps({"cache_version": CACHE_VERSION}) + "\n")
@@ -84,13 +110,13 @@ class PolyCache:
                 return
             self._memo[(u, v)] = poly
             if self._fh is not None:
-                rec = {
-                    "n": len(u),
-                    "u": format_perm(u),
-                    "v": format_perm(v),
-                    "coeffs": list(poly),
-                }
-                self._fh.write(json.dumps(rec) + "\n")
+                body = (
+                    f'{{"n": {len(u)}, "u": "{format_perm(u)}", "v": "{format_perm(v)}", '
+                    f'"coeffs": [{", ".join(map(str, poly))}]'
+                )
+                if self._version >= 2:
+                    body = f"{body}{_CRC}{zlib.crc32(body.encode())}"
+                self._fh.write(body + "}\n")
                 self._fh.flush()
 
     def close(self) -> None:
@@ -98,6 +124,19 @@ class PolyCache:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+
+
+def _check_crc(line: str) -> None:
+    """Raise ValueError unless ``line`` ends in the crc of its own text."""
+    body, sep, crc = line.rpartition(_CRC)
+    if not sep or not crc.endswith("}") or zlib.crc32(body.encode()) != int(crc[:-1]):
+        raise ValueError("checksum mismatch")
+
+
+def _ends_with_newline(path: str) -> bool:
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
 
 
 def _drop_torn_tail(path: str) -> bool:

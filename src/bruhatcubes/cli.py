@@ -93,12 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_cache(args) -> None:
+def _configure_cache(args) -> PolyCache:
+    """Install the polynomial memo that ``args`` ask for, closing the one it
+    replaces; returns the new one."""
     if getattr(args, "no_cache", False):
         path = None
     else:
         path = getattr(args, "cache", None) or default_cache_path()
-    set_cache(PolyCache(path)).close()
+    cache = PolyCache(path)
+    set_cache(cache).close()
+    return cache
 
 
 @contextmanager
@@ -249,8 +253,9 @@ def cmd_verify(args, fh) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cache = None
     try:
-        _configure_cache(args)
+        cache = _configure_cache(args)
         with _out_stream(args) as fh:
             if args.command == "rtilde":
                 return cmd_rtilde(args, fh)
@@ -277,6 +282,10 @@ def main(argv=None) -> int:
     except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        # the memo stays installed and readable; only its file is closed
+        if cache is not None:
+            cache.close()
 
 
 if __name__ == "__main__":

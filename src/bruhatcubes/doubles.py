@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import OrderError
 from .interval import Interval, interval
-from .permutations import Perm, direct_sum, format_perm, length, split_direct_sum
+from .permutations import Perm, direct_sum, format_perm, split_direct_sum
 from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str, pshift
 from .hcd import (
     enumerate_hcds,
@@ -109,7 +109,7 @@ def equivalence_classes(I: Interval, include_min: bool = True) -> list[tuple[Per
     """Classes of amazing decompositions under symmetric double shortcuts."""
     zs = [z for z in enumerate_hcds(I, amazing_only=True) if include_min or z != I.u]
     return partition_by_relation(
-        zs, lambda a, b: ds_symmetric(I, a, b), key=lambda w: (length(w), w)
+        zs, lambda a, b: ds_symmetric(I, a, b), key=I.position.__getitem__
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import AbstractSet
 
 from .errors import OrderError
 from .interval import Interval, interval
@@ -27,7 +28,6 @@ from .permutations import (
     format_perm,
     incomparable,
     inverse,
-    length,
     lower_neighbors,
 )
 from .polynomials import QPoly, ZERO, padd, pshift
@@ -93,10 +93,10 @@ def _assignments(top: Perm, sources: tuple[Perm, ...], cap: int | None) -> list[
             found.append(tuple(table))  # type: ignore[arg-type]
             return cap is not None and len(found) >= cap
         m = pending[idx]
-        cands: frozenset[Perm] | None = None
+        cands: AbstractSet[Perm] | None = None
         for b in range(k):
             if not (m >> b) & 1:
-                nbrs = lower_neighbors(table[m | (1 << b)])
+                nbrs = lower_neighbors(table[m | (1 << b)]).keys()
                 cands = nbrs if cands is None else cands & nbrs
                 if not cands:
                     return False
@@ -203,23 +203,13 @@ def is_upper_hcd(I: Interval, z: Perm) -> bool:
 def _minimum(I: Interval, members: frozenset[Perm]) -> Perm | None:
     """The Bruhat-minimum of a nonempty subset, or None when there is none.
 
-    The minimum, if any, is the unique length-smallest member and must sit
-    below every other member.
+    The candidate is the member m that comes first in ``I.elements``, which
+    is ordered by length; the minimum exists exactly when every member lies
+    above m.  A second member of m's length cannot lie above m, so a tie for
+    the shortest member fails that test too.
     """
-    best: list[Perm] = []
-    best_len = -1
-    for x in members:
-        lx = length(x)
-        if not best or lx < best_len:
-            best, best_len = [x], lx
-        elif lx == best_len:
-            best.append(x)
-    if len(best) != 1:
-        return None
-    m = best[0]
-    if members <= I.up[m]:
-        return m
-    return None
+    m = min(members, key=I.position.__getitem__)
+    return m if members <= I.up[m] else None
 
 
 STANDARD_KINDS = ("left-drop-top", "left-drop-bottom", "right-drop-top", "right-drop-bottom")
@@ -260,7 +250,7 @@ def standard_hcd_kinds(I: Interval) -> dict[str, Perm]:
 def standard_hcds(I: Interval) -> tuple[Perm, ...]:
     """Deduplicated standard decompositions, in element order."""
     found = set(standard_hcd_kinds(I).values())
-    return tuple(sorted(found, key=lambda x: (length(x), x)))
+    return tuple(sorted(found, key=I.position.__getitem__))
 
 
 @lru_cache(maxsize=1 << 18)

@@ -17,6 +17,11 @@ walk enough (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2):
 * the order inside [u, v] is the transitive closure of the arrows in
   [u, v], so each up-set is x together with the up-sets of the arrows' heads.
 
+Each member's length and its position in ``elements`` (ordered by length,
+then window) are computed once, at construction, in ``lengths`` and
+``position``; minima, sorts and cover tests read those tables, and the keys
+of ``position`` are the member set.
+
 Intervals are immutable once built and hash/compare by (u, v), so they can be
 shared freely and used as cache keys.  Use the module-level :func:`interval`
 factory to get memoized instances.
@@ -38,7 +43,6 @@ from .permutations import (
     length,
     longest_element,
     lower_neighbors,
-    transposition_link,
 )
 
 MAX_RANK = 7
@@ -70,10 +74,13 @@ class Interval:
         self.n = n
         self.u = u
         self.v = v
+        self._hash = hash((u, v))
         members = _members(u, v)
-        self.elements: tuple[Perm, ...] = tuple(sorted(members, key=lambda x: (length(x), x)))
-        self.element_set: frozenset[Perm] = frozenset(members)
-        self.rank_length: int = length(v) - length(u)
+        lengths = {x: length(x) for x in members}
+        self.elements: tuple[Perm, ...] = tuple(sorted(members, key=lambda x: (lengths[x], x)))
+        self.lengths: dict[Perm, int] = lengths
+        self.position: dict[Perm, int] = {x: k for k, x in enumerate(self.elements)}
+        self.rank_length: int = lengths[v] - lengths[u]
 
     # ---- identity -----------------------------------------------------
 
@@ -81,7 +88,7 @@ class Interval:
         return isinstance(other, Interval) and (self.u, self.v) == (other.u, other.v)
 
     def __hash__(self) -> int:
-        return hash((self.u, self.v))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Interval[{format_perm(self.u)}, {format_perm(self.v)}]"
@@ -90,14 +97,14 @@ class Interval:
         return len(self.elements)
 
     def __contains__(self, x: Perm) -> bool:
-        return x in self.element_set
+        return x in self.position
 
     def __iter__(self):
         return iter(self.elements)
 
     def require(self, *xs: Perm) -> None:
         for x in xs:
-            if x not in self.element_set:
+            if x not in self.position:
                 raise OrderError(f"{format_perm(x)} is not in {self!r}")
 
     # ---- order --------------------------------------------------------
@@ -133,14 +140,16 @@ class Interval:
 
     @cached_property
     def _graph(self) -> tuple[dict, dict, dict]:
-        members = self.element_set
-        inn = {y: members & lower_neighbors(y) for y in self.elements}
+        members = self.position.keys()
+        inn: dict[Perm, frozenset[Perm]] = {}
         out: dict[Perm, set[Perm]] = {x: set() for x in self.elements}
         labels: dict[tuple[Perm, Perm], Reflection] = {}
-        for y, sources in inn.items():
+        for y in self.elements:
+            arrows = lower_neighbors(y)
+            sources = inn[y] = frozenset(arrows.keys() & members)
             for x in sources:
                 out[x].add(y)
-                labels[(x, y)] = transposition_link(x, y)
+                labels[(x, y)] = arrows[x]
         return {x: frozenset(s) for x, s in out.items()}, inn, labels
 
     @property
@@ -213,8 +222,9 @@ class Interval:
 
     def covers_of(self, y: Perm) -> list[Perm]:
         """Lower covers of y inside the interval (length gap one)."""
-        ly = length(y)
-        return [c for c in self.in_nbrs[y] if length(c) == ly - 1]
+        lengths = self.lengths
+        below = lengths[y] - 1
+        return [c for c in self.in_nbrs[y] if lengths[c] == below]
 
     def coatom_reflections(self, x: Perm, y: Perm) -> frozenset[Reflection]:
         """Labels of the coatom edges c -> y of the subinterval [x, y]."""

@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from functools import lru_cache
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import ParseError, WordError
 
@@ -171,38 +172,33 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
 
 
 @lru_cache(maxsize=1 << 17)
-def lower_neighbors(y: Perm) -> frozenset[Perm]:
-    """In-neighbors of y in the Bruhat graph of its whole symmetric group:
-    the ``y * t`` for every reflection t = (i, j) with y(i) > y(j).
+def lower_neighbors(y: Perm) -> Mapping[Perm, Reflection]:
+    """The arrows into y in the Bruhat graph of its whole symmetric group,
+    with their labels: ``{y * t: t}`` for every reflection t = (i, j) with
+    y(i) > y(j).  The memo shares the mapping, so it is read-only.
 
-    >>> sorted(lower_neighbors((2, 3, 1)))
-    [(1, 3, 2), (2, 1, 3)]
+    >>> dict(lower_neighbors((2, 3, 1)))
+    {(1, 3, 2): (1, 3), (2, 1, 3): (2, 3)}
     """
-    n = len(y)
-    out = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if y[i] > y[j]:
-                w = list(y)
-                w[i], w[j] = w[j], w[i]
-                out.append(tuple(w))
-    return frozenset(out)
+    out = {}
+    for t in _reflections(len(y)):
+        i, j = t[0] - 1, t[1] - 1
+        if y[i] > y[j]:
+            w = list(y)
+            w[i], w[j] = w[j], w[i]
+            out[tuple(w)] = t
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=None)
+def _reflections(n: int) -> tuple[Reflection, ...]:
+    """The reflections of rank n as shared tuples, so that the memoized arrow
+    maps and the interval label tables hold one copy of each label."""
+    return tuple(reflections(n))
 
 
 def incomparable(x: Perm, y: Perm) -> bool:
     return not bruhat_leq(x, y) and not bruhat_leq(y, x)
-
-
-def transposition_link(x: Perm, y: Perm) -> Reflection | None:
-    """The reflection t with ``y == x * t``, or None if the windows do not
-    differ in exactly two (swapped) positions."""
-    diff = [i for i, (a, b) in enumerate(zip(x, y), start=1) if a != b]
-    if len(diff) != 2:
-        return None
-    i, j = diff
-    if x[i - 1] == y[j - 1] and x[j - 1] == y[i - 1]:
-        return (i, j)
-    return None
 
 
 def direct_sum(a: Perm, b: Perm) -> Perm:

@@ -152,7 +152,13 @@ def staircase_word(n: int) -> tuple[int, ...]:
 
 def canonical_orders(n: int, count: int = 2) -> list[ReflectionOrder]:
     """Fixed reflection orders used by the verification sweeps: the staircase
-    word, its index complement, and (for count >= 3) its reversal."""
+    word, its index complement, and (for count >= 3) its reversal.  Built
+    once per (n, count); each call returns a new list of them."""
+    return list(_canonical_orders(n, count))
+
+
+@lru_cache(maxsize=None)
+def _canonical_orders(n: int, count: int) -> tuple[ReflectionOrder, ...]:
     base = staircase_word(n)
     words = [base, tuple(n - i for i in base), base[::-1]]
     orders: list[ReflectionOrder] = []
@@ -160,7 +166,7 @@ def canonical_orders(n: int, count: int = 2) -> list[ReflectionOrder]:
         order = reflection_order_from_word(n, w)
         if order not in orders:
             orders.append(order)
-    return orders
+    return tuple(orders)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .appendix import (
     verify_lemma_incpaths,
 )
 from .doubles import (
+    _record,
     verify_bologna,
     verify_congettura,
     verify_em0,
@@ -161,46 +162,30 @@ def check_dyer(I: Interval, cfg: SweepConfig) -> list[dict]:
     for order in orders:
         got = rtilde_dyer(I, order)
         if got != expected:
-            return [
-                {
-                    "check": "dyer",
-                    "n": I.n,
-                    "u": format_perm(I.u),
-                    "v": format_perm(I.v),
-                    "status": "FAIL",
-                    "witness": {
-                        "order": str(order),
-                        "paths": poly_str(got),
-                        "recurrence": poly_str(expected),
-                    },
-                }
-            ]
-    return [
-        {
-            "check": "dyer",
-            "n": I.n,
-            "u": format_perm(I.u),
-            "v": format_perm(I.v),
-            "status": "PASS",
-            "orders": len(orders),
-        }
-    ]
+            witness = {
+                "order": str(order),
+                "paths": poly_str(got),
+                "recurrence": poly_str(expected),
+            }
+            return [_record("dyer", I, "FAIL", witness=witness)]
+    return [_record("dyer", I, "PASS", orders=len(orders))]
 
 
 def check_standard_hcd(I: Interval, cfg: SweepConfig) -> list[dict]:
-    base = {"check": "standard-hcd", "n": I.n, "u": format_perm(I.u), "v": format_perm(I.v)}
     try:
         zs = standard_hcds(I)
     except LookupError as exc:
-        return [{**base, "status": "FAIL", "witness": str(exc)}]
+        return [_record("standard-hcd", I, "FAIL", witness=str(exc))]
     for z in zs:
-        if not is_upper_hcd(I, z):
-            return [{**base, "status": "FAIL", "witness": f"{format_perm(z)} not an upper decomposition"}]
-        if not is_amazing(I, z):
-            return [{**base, "status": "FAIL", "witness": f"{format_perm(z)} not amazing"}]
-        if not is_amazing_r_element(I, z):
-            return [{**base, "status": "FAIL", "witness": f"{format_perm(z)} not an amazing R-element"}]
-    return [{**base, "status": "PASS", "hcds": [format_perm(z) for z in zs]}]
+        for holds, what in (
+            (is_upper_hcd, "an upper decomposition"),
+            (is_amazing, "amazing"),
+            (is_amazing_r_element, "an amazing R-element"),
+        ):
+            if not holds(I, z):
+                witness = f"{format_perm(z)} not {what}"
+                return [_record("standard-hcd", I, "FAIL", witness=witness)]
+    return [_record("standard-hcd", I, "PASS", hcds=[format_perm(z) for z in zs])]
 
 
 def check_congettura(I: Interval, cfg: SweepConfig) -> list[dict]:
@@ -218,16 +203,7 @@ def check_strong_ds(I: Interval, cfg: SweepConfig) -> list[dict]:
         for zp in amazing[i + 1 :]:
             records.append(verify_strong_ds_pair(I, z, zp))
     if not records:
-        records.append(
-            {
-                "check": "strong-ds",
-                "n": I.n,
-                "u": format_perm(I.u),
-                "v": format_perm(I.v),
-                "status": "PASS",
-                "pairs": 0,
-            }
-        )
+        records.append(_record("strong-ds", I, "PASS", pairs=0))
     return records
 
 
@@ -242,9 +218,8 @@ def check_bologna(I: Interval, cfg: SweepConfig) -> list[dict]:
 
 
 def check_cosimple_dh(I: Interval, cfg: SweepConfig) -> list[dict]:
-    base = {"check": "cosimple-dh", "n": I.n, "u": format_perm(I.u), "v": format_perm(I.v)}
     if not is_cosimple(I):
-        return [{**base, "status": "SKIP", "reason": "not co-simple"}]
+        return [_record("cosimple-dh", I, "SKIP", reason="not co-simple")]
     records = []
     standard = set(standard_hcds(I))
     amazing = enumerate_hcds(I, amazing_only=True)
@@ -261,7 +236,7 @@ def check_cosimple_dh(I: Interval, cfg: SweepConfig) -> list[dict]:
                 continue
             records.append(verify_dh_symmetry(I, z, zp, conjectural=True))
     if not records:
-        records.append({**base, "status": "PASS", "reason": "no pairs"})
+        records.append(_record("cosimple-dh", I, "PASS", reason="no pairs"))
     return records
 
 
@@ -271,16 +246,7 @@ def check_hw_bijection(I: Interval, cfg: SweepConfig) -> list[dict]:
 
 def check_lemma_paths(I: Interval, cfg: SweepConfig) -> list[dict]:
     if not is_cosimple(I):
-        return [
-            {
-                "check": "lemma-paths",
-                "n": I.n,
-                "u": format_perm(I.u),
-                "v": format_perm(I.v),
-                "status": "SKIP",
-                "reason": "not co-simple",
-            }
-        ]
+        return [_record("lemma-paths", I, "SKIP", reason="not co-simple")]
     limit = 48 if I.n >= 5 else None
     records = []
     for z in standard_hcds(I):

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import pytest
 
@@ -90,13 +91,19 @@ def test_warm_cache_changes_no_results(tmp_path):
     assert cold_code == warm_code == memory_code == 0
 
 
-def _write_cache(path, lines):
-    header = json.dumps({"cache_version": CACHE_VERSION})
+def _write_cache(path, lines, version=CACHE_VERSION):
+    header = json.dumps({"cache_version": version})
     path.write_text("\n".join([header, *lines]))
 
 
-RECORD_231 = json.dumps({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
-RECORD_321 = json.dumps({"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]})
+def _checked(record: dict) -> str:
+    """A version-2 record line: the crc32 of the text before its crc field."""
+    body = json.dumps(record)[:-1]
+    return f'{body}, "crc": {zlib.crc32(body.encode())}}}'
+
+
+RECORD_231 = _checked({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
+RECORD_321 = _checked({"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]})
 
 
 def test_torn_last_line_is_dropped(tmp_path):
@@ -129,3 +136,65 @@ def test_bad_line_before_the_end_still_fails(tmp_path):
     with pytest.raises(CacheError):
         PolyCache(str(path))
     assert path.read_text().endswith('"v": "2\n')
+
+
+def test_edited_record_is_rejected(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    _write_cache(path, [RECORD_231, RECORD_321, ""])
+    memo = PolyCache(str(path))
+    assert memo.get((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
+    memo.close()
+    edited = RECORD_321.replace("[0, 1, 0, 1]", "[0, 5]")
+    _write_cache(path, [RECORD_231, edited, ""])
+    with pytest.raises(CacheError, match="checksum"):
+        PolyCache(str(path))
+    # a record with its crc removed is rejected as well
+    _write_cache(path, [RECORD_231, RECORD_321.rsplit(", ", 1)[0] + "}", ""])
+    with pytest.raises(CacheError):
+        PolyCache(str(path))
+
+
+def test_unterminated_last_line_failing_its_check_is_dropped(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    _write_cache(path, [RECORD_231, RECORD_321.replace("[0, 1, 0, 1]", "[0, 5]")])
+    memo = PolyCache(str(path))
+    assert len(memo) == 1
+    memo.close()
+    assert path.read_text().splitlines()[1:] == [RECORD_231]
+
+
+def test_whole_unterminated_last_record_is_kept_and_ended(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    _write_cache(path, [RECORD_231])
+    memo = PolyCache(str(path))
+    assert len(memo) == 1
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.close()
+    assert path.read_text().splitlines()[1:] == [RECORD_231, RECORD_321]
+    reloaded = PolyCache(str(path))
+    assert len(reloaded) == 2
+    reloaded.close()
+
+
+def test_version_1_file_loads_unchecked_and_stays_version_1(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    v1_231 = json.dumps({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
+    v1_321 = json.dumps({"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]})
+    _write_cache(path, [v1_231, ""], version=1)
+    memo = PolyCache(str(path))
+    assert memo.get((1, 2, 3), (2, 3, 1)) == (0, 0, 1)
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.close()
+    assert path.read_text().splitlines() == ['{"cache_version": 1}', v1_231, v1_321]
+    reloaded = PolyCache(str(path))
+    assert reloaded.get((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
+    reloaded.close()
+
+
+def test_written_records_carry_their_checksum(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    memo = PolyCache(str(path))
+    memo.put((1, 2, 3), (2, 3, 1), (0, 0, 1))
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.close()
+    assert path.read_text().splitlines()[1:] == [RECORD_231, RECORD_321]

@@ -4,7 +4,7 @@ import pytest
 
 from bruhatcubes.cli import main
 from bruhatcubes.errors import ConfigError
-from bruhatcubes.rpoly import get_cache, set_cache
+from bruhatcubes.rpoly import canonical_orders, get_cache, set_cache
 from bruhatcubes.sweep import SweepConfig, validate_config
 
 
@@ -276,3 +276,69 @@ def test_replaced_cache_file_is_closed(tmp_path, capsys):
         set_cache(previous).close()
     capsys.readouterr()
 
+
+
+def test_installed_cache_file_is_closed_on_return(tmp_path, capsys):
+    path = str(tmp_path / "poly.jsonl")
+    previous = get_cache()
+    try:
+        assert main(["rtilde", "--u", "123", "--v", "321", "--cache", path]) == 0
+        installed = get_cache()
+        assert installed is not previous and installed.path == path
+        assert installed._fh is None
+        # the memo stays readable after the file is closed
+        assert installed.get((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
+    finally:
+        set_cache(previous).close()
+    capsys.readouterr()
+
+
+def test_edited_cache_record_exits_with_io_error(tmp_path, capsys):
+    path = tmp_path / "poly.jsonl"
+    argv = ["rtilde", "--u", "123", "--v", "321", "--method", "both", "--cache", str(path)]
+    previous = get_cache()
+    try:
+        assert main(argv) == 0
+        text = path.read_text()
+        path.write_text(text.replace('"v": "321", "coeffs": [0, 1, 0, 1]', '"v": "321", "coeffs": [0, 5]'))
+        assert path.read_text() != text
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "checksum" in capsys.readouterr().err
+    finally:
+        set_cache(previous).close()
+
+
+def test_failing_checks_write_standard_fail_records(monkeypatch):
+    from bruhatcubes import sweep
+    from bruhatcubes.polynomials import ZERO
+
+    monkeypatch.setattr(sweep, "rtilde_dyer", lambda I, order: ZERO)
+    monkeypatch.setattr(sweep, "is_amazing", lambda I, z: False)
+    cfg = SweepConfig(n=3, checks=("dyer", "standard-hcd"), mode="exhaustive")
+    _, records, code = sweep.run_sweep(cfg)
+    assert code == 1
+    by_check = {(r["check"], r["u"], r["v"]): r for r in records}
+    fp = cfg.fingerprint_digest()
+    assert by_check[("dyer", "123", "321")] == {
+        "check": "dyer",
+        "n": 3,
+        "u": "123",
+        "v": "321",
+        "status": "FAIL",
+        "witness": {
+            "order": str(canonical_orders(3, 2)[0]),
+            "paths": "0",
+            "recurrence": "q^3+q",
+        },
+        "fp": fp,
+    }
+    assert by_check[("standard-hcd", "123", "321")] == {
+        "check": "standard-hcd",
+        "n": 3,
+        "u": "123",
+        "v": "321",
+        "status": "FAIL",
+        "witness": "231 not amazing",
+        "fp": fp,
+    }

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatcubes.errors import OrderError
 from bruhatcubes.hcd import (
@@ -24,7 +26,13 @@ from bruhatcubes.permutations import identity, longest_element
 from bruhatcubes.polynomials import ONE
 from bruhatcubes.rpoly import rtilde
 
-from oracles import count_cube_assignments_brute, shortcuts_brute
+from oracles import (
+    count_cube_assignments_brute,
+    interval_elements_brute,
+    join_brute,
+    shortcuts_brute,
+)
+from strategies import comparable_pair
 
 E3 = identity(3)
 W3 = longest_element(3)
@@ -101,8 +109,10 @@ def test_assignment_counts_match_brute_force_all_s4_pairs():
 
 
 def test_lower_neighbors():
-    assert lower_neighbors(E3) == frozenset()
-    assert lower_neighbors((2, 3, 1)) == {(1, 3, 2), (2, 1, 3)}
+    assert lower_neighbors(E3) == {}
+    assert lower_neighbors((2, 3, 1)) == {(1, 3, 2): (1, 3), (2, 1, 3): (2, 3)}
+    with pytest.raises(TypeError):
+        lower_neighbors((2, 3, 1))[(1, 2, 3)] = (1, 2)
 
 
 def test_spans_cluster_examples():
@@ -243,3 +253,14 @@ def test_enumerate_hcds_examples():
     for u, v in comparable_pairs(3):
         I = interval(u, v)
         assert set(standard_hcds(I)) <= set(enumerate_hcds(I))
+
+
+@given(pair=comparable_pair(max_size=60), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_join_matches_brute_force_s5_s6(pair, data):
+    u, v = pair
+    members = interval_elements_brute(u, v)
+    I = interval(u, v)
+    z = data.draw(st.sampled_from(sorted(members)), label="z")
+    for x in sorted(members):
+        assert join(I, z, x) == join_brute(members, z, x), x

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bruhatcubes.errors import OrderError
 from bruhatcubes.interval import (
@@ -24,8 +23,8 @@ from oracles import (
     geodesics_brute,
     interval_elements_brute,
     subword_leq,
-    subword_products,
 )
+from strategies import comparable_pair
 
 E3 = identity(3)
 W3 = longest_element(3)
@@ -235,15 +234,6 @@ def test_interval_size_matches_subword_oracle_on_every_s4_pair():
             assert interval_size(u, v) == len(interval_elements_brute(u, v))
 
 
-@st.composite
-def comparable_pair(draw):
-    """A pair u <= v of rank 5 or 6, u drawn from the subword cone of v."""
-    n = draw(st.sampled_from((5, 6)))
-    v = draw(st.permutations(range(1, n + 1)).map(tuple))
-    u = draw(st.sampled_from(sorted(subword_products(v))))
-    return u, v
-
-
 @given(pair=comparable_pair())
 @settings(max_examples=40, deadline=None)
 def test_walk_matches_subword_oracle_s5_s6(pair):
@@ -254,3 +244,4 @@ def test_walk_matches_subword_oracle_s5_s6(pair):
     assert interval_size(u, v) == len(brute)
     for x in I:
         assert I.up[x] == {y for y in brute if subword_leq(x, y)}
+    assert set(I.edges) == bruhat_edges_brute(brute)

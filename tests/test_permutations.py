@@ -26,7 +26,6 @@ from bruhatcubes.permutations import (
     right_multiply_reflection,
     root,
     split_direct_sum,
-    transposition_link,
 )
 
 from oracles import interval_elements_brute, subword_leq
@@ -137,12 +136,6 @@ def test_parse_and_format():
     for bad in ("", "1223", "t(3,1)", "12,3", "abc"):
         with pytest.raises(ParseError):
             parse_perm(bad) if not bad.startswith("t") else parse_reflection(bad)
-
-
-def test_transposition_link():
-    assert transposition_link((1, 2, 3), (3, 2, 1)) == (1, 3)
-    assert transposition_link((1, 2, 3), (2, 3, 1)) is None
-    assert transposition_link((1, 2, 3), (1, 2, 3)) is None
 
 
 def test_words():

@@ -22,6 +22,7 @@ from bruhatcubes.rpoly import (
 )
 
 from oracles import rtilde_brute_by_hand_s3
+from strategies import comparable_pair
 
 E3 = identity(3)
 W3 = longest_element(3)
@@ -120,6 +121,14 @@ def test_all_reflection_orders_counts():
         assert is_reflection_order(o)
 
 
+def test_canonical_orders_are_built_once_and_handed_out_fresh():
+    first = canonical_orders(4, 2)
+    first.clear()
+    again = canonical_orders(4, 2)
+    assert len(again) == 2
+    assert again[0] is canonical_orders(4, 2)[0]
+
+
 def test_staircase_word_is_reduced():
     for n in (2, 3, 4, 5):
         orders = canonical_orders(n, 3)
@@ -152,6 +161,18 @@ def test_dyer_equals_recurrence_s3_all_orders():
         I = interval(u, v)
         for o in all_reflection_orders(3):
             assert rtilde_dyer(I, o) == rtilde(u, v), (u, v, str(o))
+
+
+@given(pair=comparable_pair())
+@settings(max_examples=40, deadline=None)
+def test_dyer_matches_recurrence_s5_s6(pair):
+    u, v = pair
+    I = interval(u, v)
+    expected = rtilde(u, v)
+    orders = canonical_orders(I.n, 3)
+    assert len(orders) == 3
+    for order in orders:
+        assert rtilde_dyer(I, order) == expected, order
 
 
 def test_dyer_order_invariance_all_s4_orders():
