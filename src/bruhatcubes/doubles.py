@@ -52,15 +52,14 @@ def _require_join(I: Interval, z: Perm, x: Perm) -> Perm:
 @lru_cache(maxsize=1 << 16)
 def _ds_entries(I: Interval, z: Perm, zp: Perm) -> tuple:
     I.require(z, zp)
-    u, v = I.u, I.v
-    du = I.dist[u]
+    v = I.v
     out: DegreeMultiset = Counter()
     for p in shortcuts(I, z):
         j = _require_join(I, zp, p)
         sub = interval(p, v)
-        dp = sub.dist[p]
+        dp = I.depth_of(p)
         for b in shortcuts(sub, j):
-            out[(du[p] + dp[b], b)] += 1
+            out[(dp + sub.depth_of(b), b)] += 1
     return tuple(sorted(out.items()))
 
 
@@ -191,16 +190,15 @@ def bologna_chain(I: Interval, z: Perm, zp: Perm) -> list[QPoly]:
     starting from R-tilde(u, v), expand through z, through the joins of z'
     with the z-shortcuts, through both multisets, and back through z'."""
     u, v = I.u, I.v
-    du = I.dist[u]
 
     def double(w: Perm, wp: Perm) -> QPoly:
         total: QPoly = ZERO
         for p in shortcuts(I, w):
             j = _require_join(I, wp, p)
             sub = interval(p, v)
-            dp = sub.dist[p]
+            dp = I.depth_of(p)
             for b in shortcuts(sub, j):
-                total = padd(total, pshift(rtilde(b, v), du[p] + dp[b]))
+                total = padd(total, pshift(rtilde(b, v), dp + sub.depth_of(b)))
         return total
 
     def from_multiset(ms: DegreeMultiset) -> QPoly:

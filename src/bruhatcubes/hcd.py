@@ -13,6 +13,11 @@ is injective), and uniqueness means the complete assignment is unique.
 complete and, for every p in [z, v], the arrows into p from outside [z, v]
 span a hypercube cluster (every subfamily with pairwise Bruhat-incomparable
 sources spans).  Sources are restricted to [u, v] \\ [z, v].
+
+Inside an interval, up-sets, arrows, joins, shortcuts and bottom distances
+are read from its position masks (see :mod:`bruhatcubes.interval`): [z, v]
+is one integer, and a join is the lowest set bit of an intersection,
+checked against its own up-set.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import lru_cache
 from typing import AbstractSet
 
 from .errors import OrderError
-from .interval import Interval, interval
+from .interval import Interval, bits, interval
 from .permutations import (
     Perm,
     format_perm,
@@ -178,10 +183,11 @@ def spans_cluster(top: Perm, sources: frozenset[Perm]) -> bool:
 def inflow(I: Interval, z: Perm, p: Perm) -> frozenset[Perm]:
     """Sources of the interval arrows into p from outside [z, v]."""
     I.require(z, p)
-    zv = I.up[z]
-    if p not in zv:
+    zv = I.up_mask[I.position[z]]
+    k = I.position[p]
+    if not zv >> k & 1:
         raise OrderError(f"{format_perm(p)} is not in [{format_perm(z)}, {format_perm(I.v)}]")
-    return frozenset(I.in_nbrs[p] - zv)
+    return frozenset(I.members(I.in_mask[k] & ~zv))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -191,25 +197,20 @@ def is_upper_hcd(I: Interval, z: Perm) -> bool:
     I.require(z)
     if not I.is_diamond_complete(z):
         return False
-    zv = I.up[z]
-    inn = I.in_nbrs
-    for p in zv:
-        sources = inn[p] - zv
-        if sources and not spans_cluster(p, frozenset(sources)):
+    zv = I.up_mask[I.position[z]]
+    inn, elements = I.in_mask, I.elements
+    for p in bits(zv):
+        sources = inn[p] & ~zv
+        if sources and not spans_cluster(elements[p], frozenset(I.members(sources))):
             return False
     return True
 
 
-def _minimum(I: Interval, members: frozenset[Perm]) -> Perm | None:
-    """The Bruhat-minimum of a nonempty subset, or None when there is none.
-
-    The candidate is the member m that comes first in ``I.elements``, which
-    is ordered by length; the minimum exists exactly when every member lies
-    above m.  A second member of m's length cannot lie above m, so a tie for
-    the shortest member fails that test too.
-    """
-    m = min(members, key=I.position.__getitem__)
-    return m if members <= I.up[m] else None
+def _minimum(I: Interval, mask: int) -> Perm | None:
+    """The Bruhat-minimum of the members in ``mask``, or None when there is
+    none."""
+    k = I.least(mask)
+    return None if k is None else I.elements[k]
 
 
 STANDARD_KINDS = ("left-drop-top", "left-drop-bottom", "right-drop-top", "right-drop-bottom")
@@ -237,8 +238,8 @@ def standard_hcd_kinds(I: Interval) -> dict[str, Perm]:
     }
     out: dict[str, Perm] = {}
     for kind, test in tests.items():
-        members = frozenset(x for x in I.elements if test(x))
-        m = _minimum(I, members)
+        mask = sum(1 << k for k, x in enumerate(I.elements) if test(x))
+        m = _minimum(I, mask)
         if m is None:
             raise LookupError(
                 f"coset intersection in {I!r} has no Bruhat-minimum ({kind}); this is a bug"
@@ -253,11 +254,23 @@ def standard_hcds(I: Interval) -> tuple[Perm, ...]:
     return tuple(sorted(found, key=I.position.__getitem__))
 
 
-@lru_cache(maxsize=1 << 18)
 def join(I: Interval, z: Perm, x: Perm) -> Perm | None:
     """Bruhat-minimum of [z, v] with [x, v] inside the interval, or None."""
     I.require(z, x)
-    return _minimum(I, I.up[z] & I.up[x])
+    up, position = I.up_mask, I.position
+    return _minimum(I, up[position[z]] & up[position[x]])
+
+
+def _joins(I: Interval, z: Perm):
+    """(x, join of z and x) for every x of the interval, in element order;
+    the join is None when there is none.  This is ``I.least`` inlined: the
+    cone [z, v] & [x, v] always holds v, so its lowest bit exists."""
+    up, elements = I.up_mask, I.elements
+    zv = up[I.position[z]]
+    for x, x_up in zip(elements, up):
+        cone = zv & x_up
+        k = (cone & -cone).bit_length() - 1
+        yield x, None if cone & ~up[k] else elements[k]
 
 
 @lru_cache(maxsize=1 << 17)
@@ -266,12 +279,11 @@ def is_amazing(I: Interval, z: Perm) -> bool:
     decomposition of [x, v]."""
     if not is_upper_hcd(I, z):
         return False
-    v = I.v
-    for x in I.elements:
-        j = join(I, z, x)
+    u, v = I.u, I.v
+    for x, j in _joins(I, z):
         if j is None:
             return False
-        if x != I.u and not is_upper_hcd(interval(x, v), j):
+        if x != u and not is_upper_hcd(interval(x, v), j):
             return False
     return True
 
@@ -285,24 +297,14 @@ def shortcuts(I: Interval, z: Perm) -> frozenset[Perm]:
     """p in [z, v] such that every geodesic from u to p meets [z, v] only
     at p.
 
-    A vertex x lies on some geodesic from u to p exactly when
-    d(u, x) + d(x, p) = d(u, p), so the support condition reduces to a scan
-    over [z, p] \\ {p}; the path-enumeration form is kept as a test oracle.
+    ``I.geo_mask[p]`` holds the members on some geodesic from u to p, so p
+    is kept exactly when that mask meets [z, v] in p alone; the
+    path-enumeration form is kept as a test oracle.
     """
     I.require(z)
-    u = I.u
-    zv = I.up[z]
-    dist = I.dist
-    du = dist[u]
-    out = []
-    for p in zv:
-        dup = du[p]
-        down_p = I.down[p]
-        if all(
-            du[x] + dist[x][p] != dup for x in zv & down_p if x != p
-        ):
-            out.append(p)
-    return frozenset(out)
+    zv = I.up_mask[I.position[z]]
+    geo, elements = I.geo_mask, I.elements
+    return frozenset(elements[p] for p in bits(zv) if geo[p] & zv == 1 << p)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -310,29 +312,21 @@ def shortcuts_by_cover_distance(I: Interval, z: Perm) -> frozenset[Perm]:
     """Alternative form, valid for upper decompositions: p is kept when
     d(u, p) < d(u, x) for every x in [z, p] at graph distance one from p."""
     I.require(z)
-    u = I.u
-    zv = I.up[z]
-    dist = I.dist
-    du = dist[u]
-    out = []
-    for p in zv:
-        dup = du[p]
-        if all(
-            dup < du[x]
-            for x in zv & I.down[p]
-            if x != p and dist[x].get(p) == 1
-        ):
-            out.append(p)
-    return frozenset(out)
+    zv = I.up_mask[I.position[z]]
+    inn, depth, elements = I.in_mask, I.depth, I.elements
+    return frozenset(
+        elements[p]
+        for p in bits(zv)
+        if all(depth[p] < depth[c] for c in bits(inn[p] & zv))
+    )
 
 
 def rtilde_z(I: Interval, z: Perm) -> QPoly:
     """Sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p for z."""
-    u, v = I.u, I.v
-    du = I.dist[u]
+    v = I.v
     total: QPoly = ZERO
     for p in shortcuts(I, z):
-        total = padd(total, pshift(rtilde(p, v), du[p]))
+        total = padd(total, pshift(rtilde(p, v), I.depth_of(p)))
     return total
 
 
@@ -348,8 +342,7 @@ def is_amazing_r_element(I: Interval, z: Perm) -> bool:
     if not is_amazing(I, z):
         return False
     v = I.v
-    for x in I.elements:
-        j = join(I, z, x)
+    for x, j in _joins(I, z):
         assert j is not None
         if not is_r_element(interval(x, v), j):
             return False

@@ -2,10 +2,10 @@
 
 An :class:`Interval` holds every x with u <= x <= v, the order relation, the
 directed edges x -> y (y = x*t for a reflection t, length increasing, labeled
-by t), and all pairwise directed-graph distances.  Everything is computed
-inside the interval; this equals the ambient-group distance because any
-directed path between interval members stays inside the interval (edges
-increase Bruhat order).
+by t), and directed-graph distances.  Everything is computed inside the
+interval; this equals the ambient-group distance because any directed path
+between interval members stays inside the interval (edges increase Bruhat
+order).
 
 All of it comes from one walk down the Bruhat graph, whose arrows into y are
 :func:`~bruhatcubes.permutations.lower_neighbors` (y).  Two facts make the
@@ -19,8 +19,32 @@ walk enough (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2):
 
 Each member's length and its position in ``elements`` (ordered by length,
 then window) are computed once, at construction, in ``lengths`` and
-``position``; minima, sorts and cover tests read those tables, and the keys
-of ``position`` are the member set.
+``position``; the keys of ``position`` are the member set.
+
+Position masks.  Construction also builds, for each position i, Python-int
+bitsets over positions: bit k stands for ``elements[k]``, so the lowest set
+bit of a mask is its least member by (length, window), and u is bit 0.
+
+* ``in_mask[i]`` and ``out_mask[i]``: the sources and targets of the arrows
+  into and out of ``elements[i]``;
+* ``up_mask[i]`` and ``down_mask[i]``: the members above and below it;
+* ``depth[i]``: d(u, elements[i]), from one breadth-first pass from the
+  bottom: arrows raise length, so every arrow's source comes before its
+  target in position order, and one pass in that order settles each
+  distance;
+* ``geo_mask[i]``: the members on some geodesic from u to ``elements[i]``,
+  that is bit i together with ``geo_mask[c]`` for every arrow c -> i with
+  ``depth[c] == depth[i] - 1``.  This is the identity "x lies on a u -> p
+  geodesic iff d(u, x) + d(x, p) = d(u, p)" without the all-pairs table.
+
+An order question is then a few integer operations: ``least`` finds the
+Bruhat-minimum of a member set, and the hot paths of ``hcd`` and ``doubles``
+read only the masks and ``depth``.
+
+The Perm-keyed views ``up``, ``down``, ``in_nbrs``, ``out_nbrs``, ``labels``
+and the all-pairs ``dist`` table are the public read API, built on first
+use: the labelled arrows for the increasing-path walks of ``rpoly``, and the
+rest for the appendix, ``distance``, ``geodesics`` and the tests.
 
 Intervals are immutable once built and hash/compare by (u, v), so they can be
 shared freely and used as cache keys.  Use the module-level :func:`interval`
@@ -81,6 +105,49 @@ class Interval:
         self.lengths: dict[Perm, int] = lengths
         self.position: dict[Perm, int] = {x: k for k, x in enumerate(self.elements)}
         self.rank_length: int = lengths[v] - lengths[u]
+        self._build_masks()
+
+    def _build_masks(self) -> None:
+        """The position masks and bottom distances: one pass up the positions
+        for the arrows, down-sets, depths and geodesic masks (every source of
+        an arrow comes before its target), and one pass down for up-sets."""
+        position = self.position
+        size = len(self.elements)
+        targets: list[list[int]] = [[] for _ in range(size)]
+        in_mask = [0] * size
+        out_mask = [0] * size
+        down_mask = [0] * size
+        depth = [0] * size
+        geo_mask = [1 << k for k in range(size)]
+        for k, y in enumerate(self.elements):
+            bit = 1 << k
+            sources = [i for i in map(position.get, lower_neighbors(y)) if i is not None]
+            inn, down = 0, bit
+            for i in sources:
+                targets[i].append(k)
+                inn |= 1 << i
+                out_mask[i] |= bit
+                down |= down_mask[i]
+            in_mask[k] = inn
+            down_mask[k] = down
+            if sources:
+                d = min(depth[i] for i in sources)
+                depth[k] = d + 1
+                for i in sources:
+                    if depth[i] == d:
+                        geo_mask[k] |= geo_mask[i]
+        up_mask = [0] * size
+        for k in reversed(range(size)):
+            up = 1 << k
+            for j in targets[k]:
+                up |= up_mask[j]
+            up_mask[k] = up
+        self.in_mask: tuple[int, ...] = tuple(in_mask)
+        self.out_mask: tuple[int, ...] = tuple(out_mask)
+        self.up_mask: tuple[int, ...] = tuple(up_mask)
+        self.down_mask: tuple[int, ...] = tuple(down_mask)
+        self.depth: tuple[int, ...] = tuple(depth)
+        self.geo_mask: tuple[int, ...] = tuple(geo_mask)
 
     # ---- identity -----------------------------------------------------
 
@@ -107,30 +174,38 @@ class Interval:
             if x not in self.position:
                 raise OrderError(f"{format_perm(x)} is not in {self!r}")
 
-    # ---- order --------------------------------------------------------
+    # ---- order ----------------------------------------------------------
+
+    def members(self, mask: int) -> list[Perm]:
+        """The members whose bits are set in ``mask``, in element order."""
+        elements = self.elements
+        return [elements[k] for k in bits(mask)]
+
+    def least(self, mask: int) -> int | None:
+        """Position of the Bruhat-minimum of the members in ``mask``, or None
+        when the set is empty or has no minimum.
+
+        The only candidate is the lowest set bit, the shortest member; it is
+        the minimum exactly when every member lies in its up-set.  A second
+        member of the same length is never above it, so a tie fails too.
+        """
+        k = (mask & -mask).bit_length() - 1
+        return k if k >= 0 and not mask & ~self.up_mask[k] else None
 
     @cached_property
     def up(self) -> dict[Perm, frozenset[Perm]]:
-        """x -> {y in interval : x <= y}, closed over the arrows from the top
-        down."""
-        out = self.out_nbrs
-        ups: dict[Perm, frozenset[Perm]] = {}
-        for x in reversed(self.elements):
-            ups[x] = frozenset({x}.union(*(ups[y] for y in out[x])))
-        return {x: ups[x] for x in self.elements}
+        """x -> {y in interval : x <= y}."""
+        return {x: frozenset(self.members(m)) for x, m in zip(self.elements, self.up_mask)}
 
     @cached_property
     def down(self) -> dict[Perm, frozenset[Perm]]:
         """x -> {y in interval : y <= x}."""
-        downs: dict[Perm, set[Perm]] = {x: set() for x in self.elements}
-        for x, above in self.up.items():
-            for y in above:
-                downs[y].add(x)
-        return {x: frozenset(s) for x, s in downs.items()}
+        return {x: frozenset(self.members(m)) for x, m in zip(self.elements, self.down_mask)}
 
     def leq(self, x: Perm, y: Perm) -> bool:
         self.require(x, y)
-        return y in self.up[x]
+        position = self.position
+        return bool(self.up_mask[position[x]] >> position[y] & 1)
 
     def subinterval(self, x: Perm, y: Perm) -> "Interval":
         self.require(x, y)
@@ -189,6 +264,10 @@ class Interval:
             table[x] = seen
         return table
 
+    def depth_of(self, x: Perm) -> int:
+        """d(u, x), from the one breadth-first pass from the bottom."""
+        return self.depth[self.position[x]]
+
     def distance(self, x: Perm, y: Perm) -> int | None:
         """Directed-path distance, or None when y is unreachable from x."""
         self.require(x, y)
@@ -240,20 +319,17 @@ class Interval:
         """True iff every diamond with both midpoints and top in [z, v] has
         its bottom in [z, v] as well."""
         self.require(z)
-        zv = self.up[z]
-        out = self.out_nbrs
-        for x in self.elements:
-            if x in zv:
-                continue
-            mids = [a for a in out[x] if a in zv]
-            if len(mids) < 2:
-                continue
-            seen: frozenset[Perm] = frozenset()
-            for a in mids:
-                tops = out[a]
-                if seen & tops:
+        zv = self.up_mask[self.position[z]]
+        out = self.out_mask
+        for x in bits((1 << len(self.elements)) - 1 & ~zv):
+            mids = out[x] & zv
+            if not mids & (mids - 1):
+                continue  # fewer than two midpoints
+            seen = 0
+            for a in bits(mids):
+                if seen & out[a]:
                     return False
-                seen |= tops
+                seen |= out[a]
         return True
 
     # ---- duality --------------------------------------------------------
@@ -261,6 +337,16 @@ class Interval:
     def dual(self) -> "Interval":
         """The interval [v*w0, u*w0]; x -> x*w0 reverses Bruhat order."""
         return interval(dual_element(self.v), dual_element(self.u))
+
+
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def dual_element(x: Perm) -> Perm:

@@ -32,7 +32,7 @@ from .doubles import (
 )
 from .errors import ConfigError
 from .hcd import enumerate_hcds, is_amazing, is_amazing_r_element, is_upper_hcd, standard_hcds
-from .interval import Interval, comparable_pairs, interval, interval_size
+from .interval import MAX_RANK, Interval, comparable_pairs, interval, interval_size
 from .permutations import Perm, format_perm
 from .polynomials import poly_str
 from .rpoly import canonical_orders, rtilde, rtilde_dyer
@@ -103,6 +103,11 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("rank must be positive")
     if cfg.max_interval_size is not None and cfg.max_interval_size < 1:
         raise ConfigError("interval size bound must be positive")
+    interval_checks = [c for c in cfg.checks if c in _CHECK_FUNCS]
+    if interval_checks and cfg.n > MAX_RANK:
+        raise ConfigError(
+            f"{interval_checks[0]} builds intervals, which are limited to rank {MAX_RANK}"
+        )
     if cfg.mode == "sample":
         if cfg.seed is None:
             raise ConfigError("sample mode requires a seed")
@@ -313,7 +318,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
         "conventions": CONVENTIONS,
         "fp": digest,
     }
-    pairs = sweep_pairs(cfg)
     interval_checks = [c for c in cfg.checks if c in _CHECK_FUNCS]
 
     def run_pair(pair: tuple[Perm, Perm]) -> list[dict]:
@@ -331,6 +335,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
 
     records: list[dict] = []
     if interval_checks:
+        pairs = sweep_pairs(cfg)
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 for recs in pool.map(run_pair, pairs):

@@ -77,6 +77,21 @@ def bruhat_edges_brute(members: set[Perm]) -> set[tuple[Perm, Perm, tuple[int, i
     return edges
 
 
+def is_diamond_complete_brute(members: set[Perm], z: Perm) -> bool:
+    """No diamond x -> a, x -> b, a -> y, b -> y (a != b) with a, b and y in
+    [z, v] has its bottom x outside, checked over every quadruple of members."""
+    zv = {x for x in members if subword_leq(z, x)}
+    arrows = {(x, y) for x, y, _ in bruhat_edges_brute(members)}
+    for x in members - zv:
+        for a in zv:
+            for b in zv:
+                if a == b or (x, a) not in arrows or (x, b) not in arrows:
+                    continue
+                if any((a, y) in arrows and (b, y) in arrows for y in zv):
+                    return False
+    return True
+
+
 def all_directed_paths(members: set[Perm], x: Perm, y: Perm) -> list[list[Perm]]:
     """Every directed edge path x -> ... -> y, by unpruned search."""
     adjacency: dict[Perm, list[Perm]] = {m: [] for m in members}

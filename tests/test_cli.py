@@ -342,3 +342,45 @@ def test_failing_checks_write_standard_fail_records(monkeypatch):
         "witness": "231 not amazing",
         "fp": fp,
     }
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the sweep enumerated pairs for a check that needs none")
+
+
+def test_product_only_sweep_enumerates_no_pairs(monkeypatch, capsys):
+    # at rank 8 the pair list alone took longer than any timeout, for a check
+    # that writes one SKIP record
+    from bruhatcubes import sweep
+
+    monkeypatch.setattr(sweep, "comparable_pairs", _refuse)
+    monkeypatch.setattr(sweep, "sample_pairs", _refuse)
+    for mode in (["--mode", "exhaustive"], ["--mode", "sample", "--seed", "1"]):
+        code, out, _ = run(
+            capsys, "verify", "--n", "8", "--checks", "product", *mode, "--no-cache", "--format", "json"
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()[1:]]
+        assert [(r["check"], r["status"]) for r in records] == [("product", "SKIP")]
+
+
+def test_interval_checks_above_max_rank_are_rejected_before_sampling(monkeypatch, capsys):
+    # the rejection sampler walked rank-12 intervals before the rank error came
+    from bruhatcubes import sweep
+    from bruhatcubes.interval import MAX_RANK
+
+    for n in (MAX_RANK + 1, 12):
+        for checks in (("dyer",), ("product", "em0")):
+            cfg = SweepConfig(n=n, checks=checks, mode="sample", seed=1, sample_size=1)
+            with pytest.raises(ConfigError):
+                validate_config(cfg)
+    validate_config(SweepConfig(n=12, checks=("product",), mode="sample", seed=1, sample_size=1))
+    validate_config(SweepConfig(n=MAX_RANK, checks=("dyer",), mode="sample", seed=1, sample_size=1))
+    monkeypatch.setattr(sweep, "sample_pairs", _refuse)
+    for n in ("9", "12"):
+        code, _, err = run(
+            capsys, "verify", "--n", n, "--checks", "dyer", "--mode", "sample",
+            "--seed", "1", "--sample-size", "1", "--no-cache",
+        )
+        assert code == 5
+        assert f"rank {MAX_RANK}" in err

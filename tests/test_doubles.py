@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatcubes.doubles import (
     bologna_chain,
@@ -23,6 +25,9 @@ from bruhatcubes.interval import comparable_pairs, interval
 from bruhatcubes.permutations import identity, longest_element
 from bruhatcubes.polynomials import padd, pshift
 from bruhatcubes.rpoly import rtilde
+
+from oracles import ds_multiset_brute, interval_elements_brute
+from strategies import comparable_pair
 
 E3 = identity(3)
 W3 = longest_element(3)
@@ -190,3 +195,15 @@ def test_product_explicit_pairs():
     (rec,) = verify_product(I3, I2, pairs)
     assert rec["status"] == "PASS"
     assert rec["z"] == "23154"
+
+
+@given(pair=comparable_pair(max_size=24), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_ds_multiset_matches_brute_force_s5_s6(pair, data):
+    u, v = pair
+    members = interval_elements_brute(u, v)
+    I = interval(u, v)
+    amazing = enumerate_hcds(I, amazing_only=True)
+    z = data.draw(st.sampled_from(amazing), label="z")
+    zp = data.draw(st.sampled_from(amazing), label="z2")
+    assert ds_multiset(I, z, zp) == Counter(ds_multiset_brute(members, u, v, z, zp))

@@ -264,3 +264,13 @@ def test_join_matches_brute_force_s5_s6(pair, data):
     z = data.draw(st.sampled_from(sorted(members)), label="z")
     for x in sorted(members):
         assert join(I, z, x) == join_brute(members, z, x), x
+
+
+@given(pair=comparable_pair(max_size=24))
+@settings(max_examples=30, deadline=None)
+def test_shortcuts_match_brute_force_s5_s6(pair):
+    u, v = pair
+    members = interval_elements_brute(u, v)
+    I = interval(u, v)
+    for z in sorted(members):
+        assert shortcuts(I, z) == shortcuts_brute(members, u, v, z), z

@@ -22,6 +22,7 @@ from oracles import (
     bruhat_edges_brute,
     geodesics_brute,
     interval_elements_brute,
+    is_diamond_complete_brute,
     subword_leq,
 )
 from strategies import comparable_pair
@@ -245,3 +246,50 @@ def test_walk_matches_subword_oracle_s5_s6(pair):
     for x in I:
         assert I.up[x] == {y for y in brute if subword_leq(x, y)}
     assert set(I.edges) == bruhat_edges_brute(brute)
+
+
+# ---------------------------------------------------------------------------
+# the position masks and the one pass from the bottom
+
+
+def test_bottom_distances_and_geodesic_masks_match_oracles_s4():
+    for u, v in comparable_pairs(4):
+        I = interval(u, v)
+        members = set(I.elements)
+        for k, x in enumerate(I.elements):
+            geodesics = geodesics_brute(members, u, x)
+            assert I.depth[k] == I.depth_of(x) == I.dist[u][x] == len(geodesics[0]) - 1
+            on_geodesics = {w for path in geodesics for w in path}
+            assert set(I.members(I.geo_mask[k])) == on_geodesics, (u, v, x)
+
+
+def test_arrow_masks_and_leq_match_the_graph_s4():
+    # the up- and down-set views are read off the masks, and
+    # test_order_matches_subword_oracle_on_every_s4_interval checks them
+    I = interval(identity(4), longest_element(4))
+    for k, x in enumerate(I.elements):
+        assert set(I.members(I.in_mask[k])) == I.in_nbrs[x]
+        assert set(I.members(I.out_mask[k])) == I.out_nbrs[x]
+    for x in I:
+        for y in I:
+            assert I.leq(x, y) == bruhat_leq(x, y)
+
+
+def test_least_finds_the_minimum_or_none():
+    I = interval(E3, W3)
+    position = I.position
+    assert I.least(0) is None
+    assert I.least(I.up_mask[position[(2, 3, 1)]]) == position[(2, 3, 1)]
+    both = (1 << position[(1, 3, 2)]) | (1 << position[(2, 1, 3)])
+    assert I.least(both) is None
+    assert I.least(both | 1) == 0
+
+
+@given(pair=comparable_pair(max_size=60))
+@settings(max_examples=30, deadline=None)
+def test_diamond_completeness_matches_oracle_s5_s6(pair):
+    u, v = pair
+    members = interval_elements_brute(u, v)
+    I = interval(u, v)
+    for z in sorted(members):
+        assert I.is_diamond_complete(z) == is_diamond_complete_brute(members, z), z
