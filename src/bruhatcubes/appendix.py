@@ -20,8 +20,8 @@ from functools import lru_cache
 
 from .doubles import DegreeMultiset, _record, _require_join, multiset_entries
 from .hcd import HypercubeEmbedding, shortcuts, spans_hypercube, _antichains
-from .interval import Interval, interval
-from .permutations import Perm, format_perm, root
+from .interval import Interval, bits, interval
+from .permutations import Perm, format_perm, lower_neighbors, root
 from .rpoly import constrained_orders, increasing_path_counts
 
 
@@ -56,8 +56,8 @@ def integer_rank(rows: list[tuple[int, ...]]) -> int:
 
 def coatom_root_matrix(I: Interval) -> list[tuple[int, ...]]:
     """One root row per lower cover of the interval top."""
-    v = I.v
-    return [root(I.labels[(c, v)], I.n) for c in sorted(I.covers_of(v))]
+    arrows = lower_neighbors(I.v)
+    return [root(arrows[c], I.n) for c in sorted(I.covers_of(I.v))]
 
 
 def is_cosimple(I: Interval) -> bool:
@@ -81,17 +81,17 @@ def antichain_hypercubes(
     """
     I.require(z)
     u = I.u
-    zv = I.up[z]
+    zv = I.upper(z)
+    cone = frozenset(I.members(zv))
     out: list[tuple[HypercubeEmbedding, Perm]] = []
-    for p in I.elements:
-        if p not in zv:
-            continue
-        sources = tuple(sorted(I.in_nbrs[p]))
+    for k in bits(zv):
+        p = I.index.perms[k]
+        sources = tuple(sorted(I.members(I.index.in_mask[k] & I.mask)))
         for sub in _antichains(sources):
             emb = spans_hypercube(p, sub)
             if emb is None or emb.bottom != u:
                 continue
-            if emb.image & zv != {p}:
+            if emb.image & cone != {p}:
                 continue
             out.append((emb, p))
     return tuple(out)
@@ -186,13 +186,13 @@ def crossing_precedence_constraints(I: Interval, z: Perm) -> frozenset:
     increasing.  A label occurring in both classes makes the constraints
     unsatisfiable, which is reported as "no order" rather than hidden.
     """
-    zv = I.up[z]
+    zv = I.upper(z)
     crossing = set()
     interior = set()
-    for (x, y), t in I.labels.items():
-        if x in zv:
+    for x, y, t in I.arrow_ids():
+        if zv >> x & 1:
             interior.add(t)
-        elif y in zv:
+        elif zv >> y & 1:
             crossing.add(t)
     return frozenset((t, tp) for t in crossing for tp in interior)
 

@@ -21,6 +21,7 @@ from .interval import Interval, interval
 from .permutations import Perm, direct_sum, format_perm, split_direct_sum
 from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str, pshift
 from .hcd import (
+    _joins,
     enumerate_hcds,
     is_amazing,
     is_amazing_r_element,
@@ -108,7 +109,7 @@ def equivalence_classes(I: Interval, include_min: bool = True) -> list[tuple[Per
     """Classes of amazing decompositions under symmetric double shortcuts."""
     zs = [z for z in enumerate_hcds(I, amazing_only=True) if include_min or z != I.u]
     return partition_by_relation(
-        zs, lambda a, b: ds_symmetric(I, a, b), key=I.position.__getitem__
+        zs, lambda a, b: ds_symmetric(I, a, b), key=I.index.id.__getitem__
     )
 
 
@@ -232,9 +233,10 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
             "bologna", I, "SKIP", z=format_perm(z), z2=format_perm(zp), reason="pair not amazing"
         )
     hyp1 = is_amazing_r_element(I, z)
+    # one pass over the row of joins; a missing one raises in _require_join
     hyp2 = all(
-        is_r_element(interval(x, I.v), _require_join(I, zp, x))
-        for x in I.elements
+        is_r_element(interval(x, I.v), j or _require_join(I, zp, x))
+        for x, j in _joins(I, zp)
         if x != I.u
     )
     hyp3 = ds_symmetric(I, z, zp)

@@ -14,10 +14,11 @@ complete and, for every p in [z, v], the arrows into p from outside [z, v]
 span a hypercube cluster (every subfamily with pairwise Bruhat-incomparable
 sources spans).  Sources are restricted to [u, v] \\ [z, v].
 
-Inside an interval, up-sets, arrows, joins, shortcuts and bottom distances
-are read from its position masks (see :mod:`bruhatcubes.interval`): [z, v]
-is one integer, and a join is the lowest set bit of an intersection,
-checked against its own up-set.
+Inside an interval, up-sets, arrows, joins and shortcuts are read from the
+rank index (see :mod:`bruhatcubes.interval`): [z, v] is a mask over
+permutation ids, a join is the lowest set bit of an intersection checked
+against its own up-set, and shortcuts read the geodesic masks of the
+bottom, shared by every interval with that bottom.
 """
 
 from __future__ import annotations
@@ -183,11 +184,11 @@ def spans_cluster(top: Perm, sources: frozenset[Perm]) -> bool:
 def inflow(I: Interval, z: Perm, p: Perm) -> frozenset[Perm]:
     """Sources of the interval arrows into p from outside [z, v]."""
     I.require(z, p)
-    zv = I.up_mask[I.position[z]]
-    k = I.position[p]
+    zv = I.upper(z)
+    k = I.index.id[p]
     if not zv >> k & 1:
         raise OrderError(f"{format_perm(p)} is not in [{format_perm(z)}, {format_perm(I.v)}]")
-    return frozenset(I.members(I.in_mask[k] & ~zv))
+    return frozenset(I.members(I.index.in_mask[k] & I.mask & ~zv))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -197,11 +198,12 @@ def is_upper_hcd(I: Interval, z: Perm) -> bool:
     I.require(z)
     if not I.is_diamond_complete(z):
         return False
-    zv = I.up_mask[I.position[z]]
-    inn, elements = I.in_mask, I.elements
+    zv = I.upper(z)
+    outside = I.mask & ~zv
+    inn, perms = I.index.in_mask, I.index.perms
     for p in bits(zv):
-        sources = inn[p] & ~zv
-        if sources and not spans_cluster(elements[p], frozenset(I.members(sources))):
+        sources = inn[p] & outside
+        if sources and not spans_cluster(perms[p], frozenset(I.members(sources))):
             return False
     return True
 
@@ -210,7 +212,7 @@ def _minimum(I: Interval, mask: int) -> Perm | None:
     """The Bruhat-minimum of the members in ``mask``, or None when there is
     none."""
     k = I.least(mask)
-    return None if k is None else I.elements[k]
+    return None if k is None else I.index.perms[k]
 
 
 STANDARD_KINDS = ("left-drop-top", "left-drop-bottom", "right-drop-top", "right-drop-bottom")
@@ -237,8 +239,9 @@ def standard_hcd_kinds(I: Interval) -> dict[str, Perm]:
         "right-drop-bottom": lambda x: x[0] == v[0],  # v^-1 x fixes 1
     }
     out: dict[str, Perm] = {}
+    perms = I.index.perms
     for kind, test in tests.items():
-        mask = sum(1 << k for k, x in enumerate(I.elements) if test(x))
+        mask = sum(1 << k for k in bits(I.mask) if test(perms[k]))
         m = _minimum(I, mask)
         if m is None:
             raise LookupError(
@@ -251,26 +254,25 @@ def standard_hcd_kinds(I: Interval) -> dict[str, Perm]:
 def standard_hcds(I: Interval) -> tuple[Perm, ...]:
     """Deduplicated standard decompositions, in element order."""
     found = set(standard_hcd_kinds(I).values())
-    return tuple(sorted(found, key=I.position.__getitem__))
+    return tuple(sorted(found, key=I.index.id.__getitem__))
 
 
 def join(I: Interval, z: Perm, x: Perm) -> Perm | None:
     """Bruhat-minimum of [z, v] with [x, v] inside the interval, or None."""
     I.require(z, x)
-    up, position = I.up_mask, I.position
-    return _minimum(I, up[position[z]] & up[position[x]])
+    return _minimum(I, I.upper(z) & I.upper(x))
 
 
 def _joins(I: Interval, z: Perm):
     """(x, join of z and x) for every x of the interval, in element order;
     the join is None when there is none.  This is ``I.least`` inlined: the
     cone [z, v] & [x, v] always holds v, so its lowest bit exists."""
-    up, elements = I.up_mask, I.elements
-    zv = up[I.position[z]]
-    for x, x_up in zip(elements, up):
-        cone = zv & x_up
+    up, perms = I.index.up, I.index.perms
+    zv = I.upper(z)
+    for x in bits(I.mask):
+        cone = zv & up[x]
         k = (cone & -cone).bit_length() - 1
-        yield x, None if cone & ~up[k] else elements[k]
+        yield perms[x], None if cone & ~up[k] else perms[k]
 
 
 @lru_cache(maxsize=1 << 17)
@@ -297,14 +299,14 @@ def shortcuts(I: Interval, z: Perm) -> frozenset[Perm]:
     """p in [z, v] such that every geodesic from u to p meets [z, v] only
     at p.
 
-    ``I.geo_mask[p]`` holds the members on some geodesic from u to p, so p
+    ``I.geo_mask[p]`` holds the ids on some geodesic from u to p, so p
     is kept exactly when that mask meets [z, v] in p alone; the
     path-enumeration form is kept as a test oracle.
     """
     I.require(z)
-    zv = I.up_mask[I.position[z]]
-    geo, elements = I.geo_mask, I.elements
-    return frozenset(elements[p] for p in bits(zv) if geo[p] & zv == 1 << p)
+    zv = I.upper(z)
+    geo, perms = I.geo_mask, I.index.perms
+    return frozenset(perms[p] for p in bits(zv) if geo[p] & zv == 1 << p)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -312,10 +314,10 @@ def shortcuts_by_cover_distance(I: Interval, z: Perm) -> frozenset[Perm]:
     """Alternative form, valid for upper decompositions: p is kept when
     d(u, p) < d(u, x) for every x in [z, p] at graph distance one from p."""
     I.require(z)
-    zv = I.up_mask[I.position[z]]
-    inn, depth, elements = I.in_mask, I.depth, I.elements
+    zv = I.upper(z)
+    inn, depth, perms = I.index.in_mask, I.depth, I.index.perms
     return frozenset(
-        elements[p]
+        perms[p]
         for p in bits(zv)
         if all(depth[p] < depth[c] for c in bits(inn[p] & zv))
     )

@@ -1,50 +1,36 @@
-"""Bruhat intervals as explicit posets carrying their labeled graph structure.
+"""Bruhat intervals of S_n, read off one index per rank.
 
-An :class:`Interval` holds every x with u <= x <= v, the order relation, the
-directed edges x -> y (y = x*t for a reflection t, length increasing, labeled
-by t), and directed-graph distances.  Everything is computed inside the
-interval; this equals the ambient-group distance because any directed path
-between interval members stays inside the interval (edges increase Bruhat
-order).
+The index (:func:`rank_index`) numbers the n! permutations of a rank by
+(length, window) and keeps, by id:
 
-All of it comes from one walk down the Bruhat graph, whose arrows into y are
-:func:`~bruhatcubes.permutations.lower_neighbors` (y).  Two facts make the
-walk enough (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2):
+* ``perms[i]`` and ``length[i]``, with ``id`` the inverse of ``perms``;
+* ``in_mask[i]`` and ``out_mask[i]``: n!-bit ints whose set bits are the
+  sources and targets of the Bruhat-graph arrows into and out of
+  ``perms[i]``, and ``arrows[i]``, the arrows out as ``{target id: label}``;
+* ``up[i]`` and ``down[i]``: the elements above and below ``perms[i]``.
 
-* every x in [u, v] is reached from v by arrows through elements >= u,
-  namely down a maximal chain of covers from v to x; so the members are the
-  elements the walk from v reaches while it keeps only elements above u;
-* the order inside [u, v] is the transitive closure of the arrows in
-  [u, v], so each up-set is x together with the up-sets of the arrows' heads.
+It is built once from :func:`~bruhatcubes.permutations.lower_neighbors`.
+Bruhat order is the transitive closure of the arrows, and every arrow
+raises length (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2), so
+one pass up the ids gives the down-sets and one pass down the up-sets.
 
-Each member's length and its position in ``elements`` (ordered by length,
-then window) are computed once, at construction, in ``lengths`` and
-``position``; the keys of ``position`` are the member set.
+An :class:`Interval` [u, v] is then the mask ``up[u] & down[v]``, and every
+subset of it is a mask too: [z, v] is ``up[z] & mask``.  Ids follow
+(length, window), so ``elements`` lists the members in that order and the
+lowest set bit of a mask is its first member; ``least`` finds the
+Bruhat-minimum of a member set from it.
 
-Position masks.  Construction also builds, for each position i, Python-int
-bitsets over positions: bit k stands for ``elements[k]``, so the lowest set
-bit of a mask is its least member by (length, window), and u is bit 0.
-
-* ``in_mask[i]`` and ``out_mask[i]``: the sources and targets of the arrows
-  into and out of ``elements[i]``;
-* ``up_mask[i]`` and ``down_mask[i]``: the members above and below it;
-* ``depth[i]``: d(u, elements[i]), from one breadth-first pass from the
-  bottom: arrows raise length, so every arrow's source comes before its
-  target in position order, and one pass in that order settles each
-  distance;
-* ``geo_mask[i]``: the members on some geodesic from u to ``elements[i]``,
-  that is bit i together with ``geo_mask[c]`` for every arrow c -> i with
-  ``depth[c] == depth[i] - 1``.  This is the identity "x lies on a u -> p
-  geodesic iff d(u, x) + d(x, p) = d(u, p)" without the all-pairs table.
-
-An order question is then a few integer operations: ``least`` finds the
-Bruhat-minimum of a member set, and the hot paths of ``hcd`` and ``doubles``
-read only the masks and ``depth``.
+Distances are per bottom.  Arrows raise the order, so a directed path from u
+to p stays in [u, p], and d(u, p) and the members on u -> p geodesics depend
+on u and p alone.  :meth:`RankIndex.distances` keeps for each bottom u, by
+id, ``depth[p]`` = d(u, p) and ``geo[p]``: bit p together with ``geo[c]``
+for every arrow c -> p with ``depth[c] == depth[p] - 1``.  The table of u
+grows on demand to cover [u, v] and is shared by every interval with bottom
+u.
 
 The Perm-keyed views ``up``, ``down``, ``in_nbrs``, ``out_nbrs``, ``labels``
-and the all-pairs ``dist`` table are the public read API, built on first
-use: the labelled arrows for the increasing-path walks of ``rpoly``, and the
-rest for the appendix, ``distance``, ``geodesics`` and the tests.
+and ``dist`` are thin reads of the index and those tables, built on first
+use for ``inspect --edges``, ``distance``, ``geodesics`` and the tests.
 
 Intervals are immutable once built and hash/compare by (u, v), so they can be
 shared freely and used as cache keys.  Use the module-level :func:`interval`
@@ -53,7 +39,6 @@ factory to get memoized instances.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -62,10 +47,8 @@ from .permutations import (
     Perm,
     Reflection,
     all_perms,
-    bruhat_leq,
     format_perm,
     length,
-    longest_element,
     lower_neighbors,
 )
 
@@ -81,73 +64,109 @@ class Path(NamedTuple):
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def support(self) -> frozenset[Perm]:
-        return frozenset(self.vertices)
+
+class RankIndex:
+    """The Bruhat order and graph of one rank, by permutation id."""
+
+    def __init__(self, n: int):
+        lengths = {x: length(x) for x in all_perms(n)}
+        perms = tuple(sorted(lengths, key=lambda x: (lengths[x], x)))
+        ids = {x: i for i, x in enumerate(perms)}
+        size = len(perms)
+        in_mask = [0] * size
+        out_mask = [0] * size
+        down = [0] * size
+        arrows: list[dict[int, Reflection]] = [{} for _ in range(size)]
+        for y, w in enumerate(perms):
+            inn, below = 0, 1 << y
+            for x, t in lower_neighbors(w).items():
+                i = ids[x]
+                inn |= 1 << i
+                below |= down[i]
+                out_mask[i] |= 1 << y
+                arrows[i][y] = t
+            in_mask[y] = inn
+            down[y] = below
+        up = [0] * size
+        for x in reversed(range(size)):
+            above = 1 << x
+            for y in arrows[x]:
+                above |= up[y]
+            up[x] = above
+        self.perms: tuple[Perm, ...] = perms
+        self.id: dict[Perm, int] = ids
+        self.length: tuple[int, ...] = tuple(lengths[x] for x in perms)
+        self.in_mask: tuple[int, ...] = tuple(in_mask)
+        self.out_mask: tuple[int, ...] = tuple(out_mask)
+        self.arrows: tuple[dict[int, Reflection], ...] = tuple(arrows)
+        self.up: tuple[int, ...] = tuple(up)
+        self.down: tuple[int, ...] = tuple(down)
+        self._bottoms: dict[int, list] = {}
+
+    def distances(self, u: int, v: int) -> tuple[dict[int, int], dict[int, int]]:
+        """The tables ``depth`` and ``geo`` of bottom u, by id, covering at
+        least [u, v].
+
+        Each call extends them over the part of [u, v] not yet covered, in
+        id order: the sources of the arrows into p within [u, p] have
+        smaller ids and are settled first.  The covered mask grows only after
+        its entries are written, and concurrent extensions write the same
+        values, so threads may share the tables.
+        """
+        entry = self._bottoms.get(u)
+        if entry is None:
+            entry = self._bottoms.setdefault(u, [1 << u, {u: 0}, {u: 1 << u}])
+        covered, depth, geo = entry
+        cone = self.up[u]
+        todo = cone & self.down[v] & ~covered
+        if todo:
+            in_mask = self.in_mask
+            for p in bits(todo):
+                sources = bits(in_mask[p] & cone)
+                d = min(depth[c] for c in sources)
+                g = 1 << p
+                for c in sources:
+                    if depth[c] == d:
+                        g |= geo[c]
+                depth[p] = d + 1
+                geo[p] = g
+            entry[0] = covered | todo
+        return depth, geo
+
+
+@lru_cache(maxsize=None)
+def rank_index(n: int) -> RankIndex:
+    """The index of rank n, built on first use; ranks above ``MAX_RANK``
+    are refused before anything is allocated."""
+    if n > MAX_RANK:
+        raise OrderError(f"rank {n} beyond the supported bound {MAX_RANK}")
+    return RankIndex(n)
+
+
+def _span(u: Perm, v: Perm) -> tuple[RankIndex, int]:
+    """The index of the rank of u and v, and the mask of [u, v] (0 unless
+    u <= v)."""
+    if len(u) != len(v):
+        raise OrderError(f"rank mismatch: {u} vs {v}")
+    index = rank_index(len(u))
+    ids = index.id
+    return index, index.up[ids[u]] & index.down[ids[v]]
 
 
 class Interval:
     def __init__(self, u: Perm, v: Perm):
-        n = len(u)
-        if n != len(v):
-            raise OrderError(f"rank mismatch: {u} vs {v}")
-        if n > MAX_RANK:
-            raise OrderError(f"rank {n} beyond the supported bound {MAX_RANK}")
-        if not bruhat_leq(u, v):
+        index, mask = _span(u, v)
+        if not mask:
             raise OrderError(f"{format_perm(u)} is not below {format_perm(v)} in Bruhat order")
-        self.n = n
+        self.n = len(u)
         self.u = u
         self.v = v
+        self.index = index
+        self.mask = mask
+        self.uid = index.id[u]
+        self.vid = index.id[v]
         self._hash = hash((u, v))
-        members = _members(u, v)
-        lengths = {x: length(x) for x in members}
-        self.elements: tuple[Perm, ...] = tuple(sorted(members, key=lambda x: (lengths[x], x)))
-        self.lengths: dict[Perm, int] = lengths
-        self.position: dict[Perm, int] = {x: k for k, x in enumerate(self.elements)}
-        self.rank_length: int = lengths[v] - lengths[u]
-        self._build_masks()
-
-    def _build_masks(self) -> None:
-        """The position masks and bottom distances: one pass up the positions
-        for the arrows, down-sets, depths and geodesic masks (every source of
-        an arrow comes before its target), and one pass down for up-sets."""
-        position = self.position
-        size = len(self.elements)
-        targets: list[list[int]] = [[] for _ in range(size)]
-        in_mask = [0] * size
-        out_mask = [0] * size
-        down_mask = [0] * size
-        depth = [0] * size
-        geo_mask = [1 << k for k in range(size)]
-        for k, y in enumerate(self.elements):
-            bit = 1 << k
-            sources = [i for i in map(position.get, lower_neighbors(y)) if i is not None]
-            inn, down = 0, bit
-            for i in sources:
-                targets[i].append(k)
-                inn |= 1 << i
-                out_mask[i] |= bit
-                down |= down_mask[i]
-            in_mask[k] = inn
-            down_mask[k] = down
-            if sources:
-                d = min(depth[i] for i in sources)
-                depth[k] = d + 1
-                for i in sources:
-                    if depth[i] == d:
-                        geo_mask[k] |= geo_mask[i]
-        up_mask = [0] * size
-        for k in reversed(range(size)):
-            up = 1 << k
-            for j in targets[k]:
-                up |= up_mask[j]
-            up_mask[k] = up
-        self.in_mask: tuple[int, ...] = tuple(in_mask)
-        self.out_mask: tuple[int, ...] = tuple(out_mask)
-        self.up_mask: tuple[int, ...] = tuple(up_mask)
-        self.down_mask: tuple[int, ...] = tuple(down_mask)
-        self.depth: tuple[int, ...] = tuple(depth)
-        self.geo_mask: tuple[int, ...] = tuple(geo_mask)
+        self.elements: tuple[Perm, ...] = tuple(self.members(mask))
 
     # ---- identity -----------------------------------------------------
 
@@ -164,68 +183,76 @@ class Interval:
         return len(self.elements)
 
     def __contains__(self, x: Perm) -> bool:
-        return x in self.position
+        i = self.index.id.get(x)
+        return i is not None and bool(self.mask >> i & 1)
 
     def __iter__(self):
         return iter(self.elements)
 
     def require(self, *xs: Perm) -> None:
         for x in xs:
-            if x not in self.position:
+            if x not in self:
                 raise OrderError(f"{format_perm(x)} is not in {self!r}")
 
     # ---- order ----------------------------------------------------------
 
     def members(self, mask: int) -> list[Perm]:
-        """The members whose bits are set in ``mask``, in element order."""
-        elements = self.elements
-        return [elements[k] for k in bits(mask)]
+        """The permutations whose ids are set in ``mask``, in element order."""
+        perms = self.index.perms
+        return [perms[k] for k in bits(mask)]
+
+    def upper(self, z: Perm) -> int:
+        """The mask of [z, v], for a member z."""
+        return self.index.up[self.index.id[z]] & self.mask
 
     def least(self, mask: int) -> int | None:
-        """Position of the Bruhat-minimum of the members in ``mask``, or None
-        when the set is empty or has no minimum.
+        """Id of the Bruhat-minimum of the members in ``mask``, or None when
+        the set is empty or has no minimum.
 
         The only candidate is the lowest set bit, the shortest member; it is
         the minimum exactly when every member lies in its up-set.  A second
         member of the same length is never above it, so a tie fails too.
         """
         k = (mask & -mask).bit_length() - 1
-        return k if k >= 0 and not mask & ~self.up_mask[k] else None
+        return k if k >= 0 and not mask & ~self.index.up[k] else None
+
+    def _views(self, table: tuple[int, ...]) -> dict[Perm, frozenset[Perm]]:
+        mask = self.mask
+        return {
+            x: frozenset(self.members(table[i] & mask))
+            for i, x in zip(bits(mask), self.elements)
+        }
 
     @cached_property
     def up(self) -> dict[Perm, frozenset[Perm]]:
         """x -> {y in interval : x <= y}."""
-        return {x: frozenset(self.members(m)) for x, m in zip(self.elements, self.up_mask)}
+        return self._views(self.index.up)
 
     @cached_property
     def down(self) -> dict[Perm, frozenset[Perm]]:
         """x -> {y in interval : y <= x}."""
-        return {x: frozenset(self.members(m)) for x, m in zip(self.elements, self.down_mask)}
+        return self._views(self.index.down)
 
     def leq(self, x: Perm, y: Perm) -> bool:
         self.require(x, y)
-        position = self.position
-        return bool(self.up_mask[position[x]] >> position[y] & 1)
-
-    def subinterval(self, x: Perm, y: Perm) -> "Interval":
-        self.require(x, y)
-        return interval(x, y)
+        ids = self.index.id
+        return bool(self.index.up[ids[x]] >> ids[y] & 1)
 
     # ---- graph --------------------------------------------------------
 
+    def arrow_ids(self):
+        """(source id, target id, label) for every arrow inside the interval."""
+        arrows, mask = self.index.arrows, self.mask
+        for x in bits(mask):
+            for y, t in arrows[x].items():
+                if mask >> y & 1:
+                    yield x, y, t
+
     @cached_property
     def _graph(self) -> tuple[dict, dict, dict]:
-        members = self.position.keys()
-        inn: dict[Perm, frozenset[Perm]] = {}
-        out: dict[Perm, set[Perm]] = {x: set() for x in self.elements}
-        labels: dict[tuple[Perm, Perm], Reflection] = {}
-        for y in self.elements:
-            arrows = lower_neighbors(y)
-            sources = inn[y] = frozenset(arrows.keys() & members)
-            for x in sources:
-                out[x].add(y)
-                labels[(x, y)] = arrows[x]
-        return {x: frozenset(s) for x, s in out.items()}, inn, labels
+        perms = self.index.perms
+        labels = {(perms[x], perms[y]): t for x, y, t in self.arrow_ids()}
+        return self._views(self.index.out_mask), self._views(self.index.in_mask), labels
 
     @property
     def out_nbrs(self) -> dict[Perm, frozenset[Perm]]:
@@ -243,30 +270,30 @@ class Interval:
     def edges(self) -> list[tuple[Perm, Perm, Reflection]]:
         return [(x, y, t) for (x, y), t in sorted(self.labels.items())]
 
-    def label(self, x: Perm, y: Perm) -> Reflection:
-        return self.labels[(x, y)]
+    @property
+    def depth(self) -> dict[int, int]:
+        """d(u, p) by id, for every p in the interval (the bottom's table)."""
+        return self.index.distances(self.uid, self.vid)[0]
+
+    @property
+    def geo_mask(self) -> dict[int, int]:
+        """The members on some geodesic from u to p, by the id of p."""
+        return self.index.distances(self.uid, self.vid)[1]
 
     @cached_property
     def dist(self) -> dict[Perm, dict[Perm, int]]:
-        """BFS distances along directed edges; absent key means unreachable."""
-        out = self.out_nbrs
+        """Directed distances, read off each member's bottom table; an
+        absent key means unreachable."""
+        index, mask, perms = self.index, self.mask, self.index.perms
         table: dict[Perm, dict[Perm, int]] = {}
-        for x in self.elements:
-            seen = {x: 0}
-            queue = deque([x])
-            while queue:
-                c = queue.popleft()
-                d = seen[c] + 1
-                for y in out[c]:
-                    if y not in seen:
-                        seen[y] = d
-                        queue.append(y)
-            table[x] = seen
+        for i, x in zip(bits(mask), self.elements):
+            depth = index.distances(i, self.vid)[0]
+            table[x] = {perms[p]: depth[p] for p in bits(index.up[i] & mask)}
         return table
 
     def depth_of(self, x: Perm) -> int:
-        """d(u, x), from the one breadth-first pass from the bottom."""
-        return self.depth[self.position[x]]
+        """d(u, x), from the bottom's table."""
+        return self.depth[self.index.id[x]]
 
     def distance(self, x: Perm, y: Perm) -> int | None:
         """Directed-path distance, or None when y is unreachable from x."""
@@ -274,44 +301,47 @@ class Interval:
         return self.dist[x].get(y)
 
     def geodesics(self, x: Perm, y: Perm) -> list[Path]:
-        """All minimum-length directed paths from x to y (complete)."""
+        """All minimum-length directed paths from x to y (complete): the
+        walks from x along arrows that raise d(x, .) by one and stay on the
+        geodesic mask of y."""
         self.require(x, y)
-        total = self.dist[x].get(y)
-        if total is None:
+        index = self.index
+        top = index.id[y]
+        depth, geo = index.distances(index.id[x], self.vid)
+        if top not in depth:
             return []
-        out, labels = self.out_nbrs, self.labels
-        dist_to_y = {c: table.get(y) for c, table in self.dist.items()}
+        on, arrows, perms = geo[top], index.arrows, index.perms
         paths: list[Path] = []
 
-        def walk(c: Perm, verts: list[Perm], labs: list[Reflection]) -> None:
-            if c == y:
+        def walk(c: int, verts: list[Perm], labs: list[Reflection]) -> None:
+            if c == top:
                 paths.append(Path(tuple(verts), tuple(labs)))
                 return
-            remaining = total - len(labs)
-            for w in out[c]:
-                if dist_to_y.get(w) == remaining - 1:
-                    verts.append(w)
-                    labs.append(labels[(c, w)])
+            for w, t in arrows[c].items():
+                if on >> w & 1 and depth[w] == depth[c] + 1:
+                    verts.append(perms[w])
+                    labs.append(t)
                     walk(w, verts, labs)
                     verts.pop()
                     labs.pop()
 
-        walk(x, [x], [])
+        walk(index.id[x], [x], [])
         return paths
 
     def covers_of(self, y: Perm) -> list[Perm]:
         """Lower covers of y inside the interval (length gap one)."""
-        lengths = self.lengths
-        below = lengths[y] - 1
-        return [c for c in self.in_nbrs[y] if lengths[c] == below]
+        index = self.index
+        j = index.id[y]
+        below = index.length[j] - 1
+        return [index.perms[c] for c in bits(index.in_mask[j] & self.mask) if index.length[c] == below]
 
     def coatom_reflections(self, x: Perm, y: Perm) -> frozenset[Reflection]:
         """Labels of the coatom edges c -> y of the subinterval [x, y]."""
         self.require(x, y)
-        if not bruhat_leq(x, y):
+        if not self.leq(x, y):
             raise OrderError(f"{format_perm(x)} is not below {format_perm(y)}")
-        up_x = self.up[x]
-        return frozenset(self.labels[(c, y)] for c in self.covers_of(y) if c in up_x)
+        up_x, arrows = self.upper(x), lower_neighbors(y)
+        return frozenset(arrows[c] for c in self.covers_of(y) if up_x >> self.index.id[c] & 1)
 
     # ---- diamond completeness ------------------------------------------
 
@@ -319,17 +349,18 @@ class Interval:
         """True iff every diamond with both midpoints and top in [z, v] has
         its bottom in [z, v] as well."""
         self.require(z)
-        zv = self.up_mask[self.position[z]]
-        out = self.out_mask
-        for x in bits((1 << len(self.elements)) - 1 & ~zv):
+        zv = self.upper(z)
+        out = self.index.out_mask
+        for x in bits(self.mask & ~zv):
             mids = out[x] & zv
             if not mids & (mids - 1):
                 continue  # fewer than two midpoints
             seen = 0
             for a in bits(mids):
-                if seen & out[a]:
+                tops = out[a] & zv
+                if seen & tops:
                     return False
-                seen |= out[a]
+                seen |= tops
         return True
 
     # ---- duality --------------------------------------------------------
@@ -361,32 +392,13 @@ def interval(u: Perm, v: Perm) -> Interval:
 
 
 def comparable_pairs(n: int) -> list[tuple[Perm, Perm]]:
-    """All Bruhat-comparable pairs (u, v) in rank n, deterministic order."""
-    elems = sorted(all_perms(n), key=lambda x: (length(x), x))
-    return [(u, v) for u in elems for v in elems if bruhat_leq(u, v)]
-
-
-def full_interval(n: int) -> Interval:
-    from .permutations import identity
-
-    return interval(identity(n), longest_element(n))
+    """All Bruhat-comparable pairs (u, v) in rank n, both in (length, window)
+    order."""
+    index = rank_index(n)
+    perms = index.perms
+    return [(perms[a], perms[b]) for a, above in enumerate(index.up) for b in bits(above)]
 
 
 def interval_size(u: Perm, v: Perm) -> int:
-    """|[u, v]| without building the interval object."""
-    if not bruhat_leq(u, v):
-        return 0
-    return len(_members(u, v))
-
-
-def _members(u: Perm, v: Perm) -> set[Perm]:
-    """The elements of [u, v], for u <= v: those reached from v down the
-    arrows of the Bruhat graph while staying above u."""
-    found = {v}
-    stack = [v]
-    while stack:
-        for x in lower_neighbors(stack.pop()):
-            if x not in found and bruhat_leq(u, x):
-                found.add(x)
-                stack.append(x)
-    return found
+    """|[u, v]| (0 unless u <= v), a popcount of the index masks."""
+    return _span(u, v)[1].bit_count()

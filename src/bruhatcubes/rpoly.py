@@ -13,7 +13,6 @@ are produced from reduced words of the longest element by prefix conjugation.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -175,27 +174,10 @@ def _canonical_orders(n: int, count: int) -> tuple[ReflectionOrder, ...]:
 
 def rtilde_dyer(I: Interval, order: ReflectionOrder) -> QPoly:
     """Sum of q^|path| over the order-increasing directed paths from the
-    bottom to the top of the interval."""
-    if sorted(order.sequence) != reflections(I.n):
-        raise OrderError(f"reflection order has the wrong rank for {I!r}")
-    pos = order.position
-    out, labels = I.out_nbrs, I.labels
-    v = I.v
-    counts: Counter[int] = Counter()
-
-    def walk(x: Perm, last: int, steps: int) -> None:
-        if x == v:
-            counts[steps] += 1
-            return
-        for y in out[x]:
-            p = pos[labels[(x, y)]]
-            if p > last:
-                walk(y, p, steps + 1)
-
-    walk(I.u, -1, 0)
-    if not counts:
-        return ZERO
-    coeffs = [0] * (max(counts) + 1)
+    bottom to the top of the interval: the row of v in the table of
+    :func:`increasing_path_counts` for z = v, since [v, v] = {v}."""
+    counts = increasing_path_counts(I, I.v, order)[I.v]
+    coeffs = [0] * (max(counts, default=-1) + 1)
     for d, c in counts.items():
         coeffs[d] = c
     return normalize(coeffs)
@@ -214,26 +196,26 @@ def increasing_path_counts(
     I.require(z)
     if sorted(order.sequence) != reflections(I.n):
         raise OrderError(f"reflection order has the wrong rank for {I!r}")
-    zv = I.up[z]
-    table: dict[Perm, dict[int, int]] = {p: {} for p in zv}
-    if I.u in zv:
+    zv = I.upper(z)
+    table: dict[Perm, dict[int, int]] = {p: {} for p in I.members(zv)}
+    if z == I.u:
         table[I.u][0] = 1
         return table
     pos = order.position
-    out, labels = I.out_nbrs, I.labels
+    arrows, mask, perms = I.index.arrows, I.mask, I.index.perms
 
-    def walk(x: Perm, last: int, steps: int) -> None:
-        for y in out[x]:
-            p = pos[labels[(x, y)]]
-            if p <= last:
+    def walk(x: int, last: int, steps: int) -> None:
+        for y, t in arrows[x].items():
+            p = pos[t]
+            if p <= last or not mask >> y & 1:
                 continue
-            if y in zv:
-                row = table[y]
+            if zv >> y & 1:
+                row = table[perms[y]]
                 row[steps + 1] = row.get(steps + 1, 0) + 1
             else:
                 walk(y, p, steps + 1)
 
-    walk(I.u, -1, 0)
+    walk(I.uid, -1, 0)
     return table
 
 

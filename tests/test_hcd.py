@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruhatcubes.errors import OrderError
@@ -27,10 +29,12 @@ from bruhatcubes.polynomials import ONE
 from bruhatcubes.rpoly import rtilde
 
 from oracles import (
+    bruhat_edges_brute,
     count_cube_assignments_brute,
     interval_elements_brute,
     join_brute,
     shortcuts_brute,
+    subword_leq,
 )
 from strategies import comparable_pair
 
@@ -106,6 +110,27 @@ def test_assignment_counts_match_brute_force_all_s4_pairs():
                 assert got == count_cube_assignments_brute(p, (a, b)), (p, a, b)
                 checked += 1
     assert checked == 65
+
+
+@given(pair=comparable_pair(max_size=24), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_assignment_counts_match_brute_force_s5_s6(pair, data):
+    # families of 2 or 3 pairwise incomparable interval arrows into one p
+    u, v = pair
+    members = interval_elements_brute(u, v)
+    edges = bruhat_edges_brute(members)
+    families = [
+        (p, family)
+        for p in sorted(members)
+        for k in (2, 3)
+        for family in itertools.combinations(sorted(x for x, y, _ in edges if y == p), k)
+        if not any(subword_leq(a, b) or subword_leq(b, a) for a, b in itertools.combinations(family, 2))
+    ]
+    assume(families)
+    p, family = data.draw(st.sampled_from(families))
+    brute = count_cube_assignments_brute(p, family)
+    assert count_hypercube_assignments(p, family) == brute, (p, family)
+    assert (spans_hypercube(p, family) is not None) == (brute == 1), (p, family)
 
 
 def test_lower_neighbors():

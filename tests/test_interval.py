@@ -1,4 +1,8 @@
+import importlib
 import itertools
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +10,13 @@ from hypothesis import given, settings
 from bruhatcubes.errors import OrderError
 from bruhatcubes.interval import (
     Interval,
+    RankIndex,
+    bits,
     comparable_pairs,
     dual_element,
     interval,
     interval_size,
+    rank_index,
 )
 from bruhatcubes.permutations import (
     bruhat_leq,
@@ -230,9 +237,9 @@ def test_order_matches_subword_oracle_on_every_s4_interval():
 
 def test_interval_size_matches_subword_oracle_on_every_s4_pair():
     s4 = list(itertools.permutations(range(1, 5)))
-    for u in s4:
-        for v in s4:
-            assert interval_size(u, v) == len(interval_elements_brute(u, v))
+    sizes = [interval_size(u, v) for u in s4 for v in s4]
+    assert sizes == [len(interval_elements_brute(u, v)) for u in s4 for v in s4]
+    assert sizes.count(0) == 24 * 24 - 213  # 0 on every incomparable pair
 
 
 @given(pair=comparable_pair())
@@ -249,40 +256,119 @@ def test_walk_matches_subword_oracle_s5_s6(pair):
 
 
 # ---------------------------------------------------------------------------
-# the position masks and the one pass from the bottom
+# the rank index and the per-bottom tables
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_rank_index_matches_oracles(n):
+    index = rank_index(n)
+    group = set(itertools.permutations(range(1, n + 1)))
+    assert index.perms == tuple(sorted(group, key=lambda x: (length(x), x)))
+    assert index.length == tuple(length(x) for x in index.perms)
+    assert all(index.id[x] == i for i, x in enumerate(index.perms))
+    for i, x in enumerate(index.perms):
+        assert {index.perms[k] for k in bits(index.up[i])} == {y for y in group if subword_leq(x, y)}
+        assert {index.perms[k] for k in bits(index.down[i])} == {y for y in group if subword_leq(y, x)}
+    arrows = {
+        (index.perms[x], index.perms[y], t)
+        for x, targets in enumerate(index.arrows)
+        for y, t in targets.items()
+    }
+    assert arrows == bruhat_edges_brute(group)
+    for i in range(len(index.perms)):
+        assert bits(index.out_mask[i]) == sorted(index.arrows[i])
+        assert bits(index.in_mask[i]) == [x for x, targets in enumerate(index.arrows) if i in targets]
+
+
+def test_comparable_pairs_counts_and_order():
+    for n, count in [(1, 1), (2, 3), (3, 19), (4, 213), (5, 3781)]:
+        group = sorted(itertools.permutations(range(1, n + 1)), key=lambda x: (length(x), x))
+        pairs = comparable_pairs(n)
+        assert len(pairs) == count
+        assert pairs == [(u, v) for u in group for v in group if subword_leq(u, v)]
+
+
+def test_rank_above_the_bound_is_refused_before_building(monkeypatch):
+    # the package's interval() shadows the submodule of the same name
+    interval_mod = importlib.import_module("bruhatcubes.interval")
+
+    def refuse(n):
+        raise AssertionError(f"rank {n} index built")
+
+    monkeypatch.setattr(interval_mod, "RankIndex", refuse)
+    u, v = identity(8), longest_element(8)
+    for call in (lambda: Interval(u, v), lambda: interval_size(u, v), lambda: comparable_pairs(8)):
+        with pytest.raises(OrderError, match="rank 8"):
+            call()
 
 
 def test_bottom_distances_and_geodesic_masks_match_oracles_s4():
     for u, v in comparable_pairs(4):
         I = interval(u, v)
+        ids = I.index.id
         members = set(I.elements)
-        for k, x in enumerate(I.elements):
+        for x in I.elements:
             geodesics = geodesics_brute(members, u, x)
-            assert I.depth[k] == I.depth_of(x) == I.dist[u][x] == len(geodesics[0]) - 1
+            assert I.depth[ids[x]] == I.depth_of(x) == I.dist[u][x] == len(geodesics[0]) - 1
             on_geodesics = {w for path in geodesics for w in path}
-            assert set(I.members(I.geo_mask[k])) == on_geodesics, (u, v, x)
+            assert set(I.members(I.geo_mask[ids[x]])) == on_geodesics, (u, v, x)
+            # every path from x stays above x, so the oracle searches that cone
+            cone = {y for y in members if subword_leq(x, y)}
+            for y in I.elements:
+                brute = geodesics_brute(cone, x, y) if y in cone else []
+                assert I.dist[x].get(y) == (len(brute[0]) - 1 if brute else None), (u, v, x, y)
 
 
 def test_arrow_masks_and_leq_match_the_graph_s4():
     # the up- and down-set views are read off the masks, and
     # test_order_matches_subword_oracle_on_every_s4_interval checks them
-    I = interval(identity(4), longest_element(4))
-    for k, x in enumerate(I.elements):
-        assert set(I.members(I.in_mask[k])) == I.in_nbrs[x]
-        assert set(I.members(I.out_mask[k])) == I.out_nbrs[x]
-    for x in I:
-        for y in I:
-            assert I.leq(x, y) == bruhat_leq(x, y)
+    for I in (interval(identity(4), longest_element(4)), interval((1, 2, 4, 3), (4, 2, 3, 1))):
+        index = I.index
+        for x in I:
+            k = index.id[x]
+            assert set(I.members(index.in_mask[k] & I.mask)) == I.in_nbrs[x]
+            assert set(I.members(index.out_mask[k] & I.mask)) == I.out_nbrs[x]
+        for x in I:
+            for y in I:
+                assert I.leq(x, y) == bruhat_leq(x, y)
 
 
 def test_least_finds_the_minimum_or_none():
-    I = interval(E3, W3)
-    position = I.position
+    I = interval((1, 3, 2), W3)
+    ids = I.index.id
     assert I.least(0) is None
-    assert I.least(I.up_mask[position[(2, 3, 1)]]) == position[(2, 3, 1)]
-    both = (1 << position[(1, 3, 2)]) | (1 << position[(2, 1, 3)])
+    assert I.least(I.upper((2, 3, 1))) == ids[(2, 3, 1)]
+    both = (1 << ids[(2, 3, 1)]) | (1 << ids[(3, 1, 2)])
     assert I.least(both) is None
-    assert I.least(both | 1) == 0
+    assert I.least(both | 1 << ids[(1, 3, 2)]) == ids[(1, 3, 2)]
+    assert I.least(I.mask) == ids[I.u]
+
+
+def test_bottom_tables_shared_between_threads_stay_exact():
+    # eight threads extend the same per-bottom tables in different orders;
+    # every table they read must equal one built by a single thread
+    shared, serial = RankIndex(5), RankIndex(5)
+    pairs = [(shared.id[u], shared.id[v]) for u, v in comparable_pairs(5)]
+    orders = [random.Random(k).sample(pairs, len(pairs) // 4) for k in range(8)]
+
+    def read(index, u, v):
+        depth, geo = index.distances(u, v)
+        return [(p, depth[p], geo[p]) for p in bits(index.up[u] & index.down[v])]
+
+    def work(order):
+        return [(u, v, read(shared, u, v)) for u, v in order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, order) for order in orders]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for rows in results:
+        for u, v, got in rows:
+            assert got == read(serial, u, v), (u, v)
 
 
 @given(pair=comparable_pair(max_size=60))
