@@ -145,11 +145,15 @@ def rank_index(n: int) -> RankIndex:
 
 def _span(u: Perm, v: Perm) -> tuple[RankIndex, int]:
     """The index of the rank of u and v, and the mask of [u, v] (0 unless
-    u <= v)."""
+    u <= v); OrderError for a rank mismatch or a tuple that is not a
+    window."""
     if len(u) != len(v):
         raise OrderError(f"rank mismatch: {u} vs {v}")
     index = rank_index(len(u))
     ids = index.id
+    for w in (u, v):
+        if w not in ids:
+            raise OrderError(f"not a permutation window: {w}")
     return index, index.up[ids[u]] & index.down[ids[v]]
 
 

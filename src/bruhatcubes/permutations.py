@@ -12,12 +12,16 @@ right-multiplying ``x`` by a reflection swaps two window entries of ``x``:
 
 The textual window format is ``"2143"`` for n <= 9 and comma-separated
 (``"2,1,4,3"``) otherwise; reflections print as ``"t(1,3)"``.
+
+Bruhat order is compared through rank matrices: each permutation's matrix
+is packed once into an int with a guard bit above every entry, and
+:func:`bruhat_leq` compares all entries of two matrices with one
+subtraction.  Nothing is memoized per pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -61,7 +65,10 @@ def parse_perm(text: str) -> Perm:
     return window
 
 
+@lru_cache(maxsize=1 << 13)
 def format_perm(w: Perm) -> str:
+    """``"2143"`` for n <= 9, ``"2,1,4,3"`` otherwise; memoized, since every
+    cache record and report record spells out its windows."""
     if len(w) <= 9:
         return "".join(str(a) for a in w)
     return ",".join(str(a) for a in w)
@@ -147,28 +154,61 @@ def right_descents(w: Perm) -> list[int]:
     return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
-@lru_cache(maxsize=1 << 20)
+@lru_cache(maxsize=0)
 def bruhat_leq(x: Perm, y: Perm) -> bool:
-    """Bruhat comparison by the dot criterion: every sorted k-prefix of x
-    is entrywise dominated by the sorted k-prefix of y.
+    """Bruhat comparison by the rank-matrix criterion (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, Thm 2.1.5): x <= y iff
+    x[i, j] <= y[i, j] for all i, j, where x[i, j] = #{a <= i : x(a) >= j}.
+
+    Both matrices are packed into ints with a guard bit above every field
+    (:func:`_rank_code`, :func:`_guards`), so all the entry comparisons are
+    one subtraction: no field of code(x) reaches its guard, so no borrow
+    crosses a guard, and a guard of ``(code(y) | G) - code(x)`` survives
+    exactly when y's field is at least x's.
+
+    The ``lru_cache`` stores nothing (``maxsize=0``); it only counts calls
+    for ``cache_info()``.
 
     >>> bruhat_leq((1, 3, 2), (3, 1, 2))
     True
     >>> bruhat_leq((2, 1, 3), (1, 3, 2))
     False
     """
-    if len(x) != len(y):
-        raise ValueError(f"rank mismatch: {len(x)} vs {len(y)}")
-    if x == y:
-        return True
-    xs: list[int] = []
-    ys: list[int] = []
-    for k in range(len(x) - 1):
-        insort(xs, x[k])
-        insort(ys, y[k])
-        if any(a > b for a, b in zip(xs, ys)):
-            return False
-    return True
+    n = len(x)
+    if len(y) != n:
+        raise ValueError(f"rank mismatch: {n} vs {len(y)}")
+    guards = _guards(n)
+    return ((_rank_code(y) | guards) - _rank_code(x)) & guards == guards
+
+
+@lru_cache(maxsize=1 << 13)
+def _rank_code(w: Perm) -> int:
+    """The rank matrix w[i, j] = #{a <= i : w(a) >= j}, i = 1..n-1 and
+    j = 2..n, packed row by row from the lowest bits up.  Each field is
+    ``n.bit_length()`` bits wide, enough for any entry (at most n - 1),
+    with one guard bit above it.  Raises ValueError for a tuple that is not
+    a window; the memo means each window is checked once."""
+    if not is_window(w):
+        raise ValueError(f"not a permutation window: {w}")
+    n = len(w)
+    width = n.bit_length() + 1
+    at_least = [0] * (n + 1)  # at_least[j] = #{a <= i : w(a) >= j}
+    code = shift = 0
+    for value in w[:-1]:
+        for j in range(2, value + 1):
+            at_least[j] += 1
+        for j in range(2, n + 1):
+            code |= at_least[j] << shift
+            shift += width
+    return code
+
+
+@lru_cache(maxsize=None)
+def _guards(n: int) -> int:
+    """The guard bits of the rank-n codes: the top bit of each field."""
+    width = n.bit_length() + 1
+    guard = 1 << (width - 1)
+    return sum(guard << (width * k) for k in range((n - 1) ** 2))
 
 
 @lru_cache(maxsize=1 << 17)

@@ -67,7 +67,9 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
     elif not bruhat_leq(u, v):
         poly = ZERO
     else:
-        i = max(i for i in range(1, len(v)) if v[i - 1] > v[i])
+        i = len(v) - 1  # the last descent of v; v > u, so it has one
+        while v[i - 1] < v[i]:
+            i -= 1
         vs = right_multiply_simple(v, i)
         us = right_multiply_simple(u, i)
         if u[i - 1] > u[i]:

@@ -33,7 +33,7 @@ from .doubles import (
 from .errors import ConfigError
 from .hcd import enumerate_hcds, is_amazing, is_amazing_r_element, is_upper_hcd, standard_hcds
 from .interval import MAX_RANK, Interval, comparable_pairs, interval, interval_size
-from .permutations import Perm, format_perm
+from .permutations import Perm, bruhat_leq, format_perm
 from .polynomials import poly_str
 from .rpoly import canonical_orders, rtilde, rtilde_dyer
 
@@ -132,8 +132,6 @@ def sample_pairs(
     rng = random.Random(seed)
     base = list(range(1, n + 1))
     out: list[tuple[Perm, Perm]] = []
-    from .permutations import bruhat_leq
-
     while len(out) < size:
         u = tuple(rng.sample(base, n))
         v = tuple(rng.sample(base, n))

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here recomputes results from first principles: subword Bruhat
-comparison, literal path enumeration without pruning, and hypercube cell
-assignment over the whole group.  None of it shares a code path with the
-implementations under test beyond elementary window arithmetic.
+Everything here recomputes results from first principles: subword and
+sorted-prefix (tableau) Bruhat comparison, literal path enumeration without
+pruning, and hypercube cell assignment over the whole group.  None of it
+shares a code path with the implementations under test beyond elementary
+window arithmetic.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 
 from bruhatcubes.permutations import (
@@ -56,6 +58,23 @@ def subword_products(v: Perm) -> frozenset[Perm]:
 
 def subword_leq(x: Perm, y: Perm) -> bool:
     return x in subword_products(y)
+
+
+def tableau_leq(x: Perm, y: Perm) -> bool:
+    """Bruhat comparison by the tableau criterion: every sorted k-prefix of x
+    is entrywise dominated by the sorted k-prefix of y."""
+    if len(x) != len(y):
+        raise ValueError(f"rank mismatch: {len(x)} vs {len(y)}")
+    if x == y:
+        return True
+    xs: list[int] = []
+    ys: list[int] = []
+    for k in range(len(x) - 1):
+        insort(xs, x[k])
+        insort(ys, y[k])
+        if any(a > b for a, b in zip(xs, ys)):
+            return False
+    return True
 
 
 def interval_elements_brute(u: Perm, v: Perm) -> set[Perm]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import zlib
 
@@ -5,7 +6,7 @@ import pytest
 
 from bruhatcubes.cache import CACHE_VERSION, PolyCache, default_cache_path
 from bruhatcubes.errors import CacheError
-from bruhatcubes.permutations import identity, longest_element
+from bruhatcubes.permutations import all_perms, identity, longest_element
 from bruhatcubes.rpoly import get_cache, rtilde, set_cache
 
 
@@ -41,6 +42,27 @@ def test_file_cache_roundtrip(tmp_path):
     warm = PolyCache(str(path))
     assert warm.get(u, v) == first
     warm.close()
+
+
+def test_s4_cache_file_bytes_are_pinned(tmp_path):
+    # rtilde of every ordered pair of S4, in all_perms order, into a fresh
+    # file: the records, their order and their spelling are all pinned
+    path = tmp_path / "poly.jsonl"
+    installed = PolyCache(str(path))
+    old = set_cache(installed)
+    try:
+        s4 = list(all_perms(4))
+        for u in s4:
+            for v in s4:
+                rtilde(u, v)
+    finally:
+        set_cache(old)
+        installed.close()
+    data = path.read_bytes()
+    assert len(data) == 40515
+    assert hashlib.sha256(data).hexdigest() == (
+        "136b3b87c8d77e1f19653eca1efadf2aa2bcd74e27d5b4a63e81983e8d1d1b93"
+    )
 
 
 def test_file_cache_rejects_bad_header(tmp_path):

@@ -59,6 +59,19 @@ def test_build_requires_comparable():
         interval((2, 1, 3), (1, 3, 2))
 
 
+@pytest.mark.parametrize(
+    "call, u, v",
+    [
+        (interval_size, (1, 1, 2), (3, 2, 1)),
+        (interval, (1, 1, 2), (1, 2, 3)),
+        (interval, (1, 2, 3), (0, 2, 1)),
+    ],
+)
+def test_non_permutations_raise_order_error(call, u, v):
+    with pytest.raises(OrderError, match="not a permutation window"):
+        call(u, v)
+
+
 def test_elements_match_subword_oracle_s4():
     for u, v in [
         (identity(4), longest_element(4)),

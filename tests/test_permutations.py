@@ -28,7 +28,7 @@ from bruhatcubes.permutations import (
     split_direct_sum,
 )
 
-from oracles import interval_elements_brute, subword_leq
+from oracles import interval_elements_brute, subword_leq, tableau_leq
 
 
 def test_compose_examples():
@@ -75,10 +75,53 @@ def test_bruhat_examples():
     assert bruhat_leq((1, 3, 2), (3, 1, 2))
 
 
-def test_bruhat_matches_subword_oracle_s4():
-    for x in all_perms(4):
-        for y in all_perms(4):
+@pytest.mark.parametrize("n", [4, 5])
+def test_bruhat_matches_subword_oracle(n):
+    group = list(all_perms(n))
+    for x in group:
+        for y in group:
             assert bruhat_leq(x, y) == subword_leq(x, y), (x, y)
+
+
+def _edge_perms(n):
+    """Windows whose rank matrices reach the extreme entries (w0 has entry
+    n - 1 at i = n - 1, j = 2): e and w0, each also with its first or last
+    two entries swapped."""
+    e, w0 = identity(n), longest_element(n)
+    ends = ((1, 2), (n - 1, n)) if n > 1 else ()
+    return [e, w0] + [right_multiply_reflection(w, t) for w in (e, w0) for t in ends]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 16])
+def test_bruhat_edge_ranks_match_tableau_oracle(n):
+    # the field width n.bit_length() grows from 7 to 8 and from 15 to 16
+    ws = _edge_perms(n)
+    for x in ws:
+        for y in ws:
+            assert bruhat_leq(x, y) == tableau_leq(x, y), (x, y)
+    assert bruhat_leq(identity(n), longest_element(n))
+    assert bruhat_leq(longest_element(n), identity(n)) == (n == 1)
+
+
+def test_bruhat_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        bruhat_leq((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        bruhat_leq((3, 2, 1), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ((1, 1, 2), (3, 2, 1)),
+        ((0, 1, 2), (3, 2, 1)),
+        ((1, 2, 3), (3, 3, 1)),
+        ((1, 2, 4), (3, 2, 1)),
+    ],
+)
+def test_bruhat_rejects_non_permutations(x, y):
+    with pytest.raises(ValueError, match="not a permutation window"):
+        bruhat_leq(x, y)
 
 
 def test_bruhat_length_monotone_s4():
@@ -176,3 +219,29 @@ def test_bruhat_antisymmetry(x, y):
         assert x == y
     if x != y and not incomparable(x, y):
         assert bruhat_leq(x, y) != bruhat_leq(y, x)
+
+
+@st.composite
+def mostly_comparable_pair(draw):
+    """A pair (x, y) of rank 6-12 windows with x <= y about half the time.
+    lo and hi are a window with one segment of two or more entries sorted
+    ascending and descending, so lo < hi; the pair is (lo, hi), (hi, lo) or
+    lo with an independent window.  Hypothesis favours the first choice of
+    ``sampled_from``, so "below" is listed twice but not first."""
+    n = draw(st.integers(min_value=6, max_value=12))
+    x = draw(perms(n))
+    i = draw(st.integers(min_value=0, max_value=n - 2))
+    j = draw(st.integers(min_value=i + 2, max_value=n))
+    lo = x[:i] + tuple(sorted(x[i:j])) + x[j:]
+    hi = x[:i] + tuple(sorted(x[i:j], reverse=True)) + x[j:]
+    kind = draw(st.sampled_from(("above", "below", "independent", "below")))
+    if kind == "below":
+        return lo, hi
+    return (hi, lo) if kind == "above" else (lo, draw(perms(n)))
+
+
+@given(pair=mostly_comparable_pair())
+@settings(max_examples=300, deadline=None)
+def test_bruhat_matches_tableau_oracle_ranks_6_to_12(pair):
+    x, y = pair
+    assert bruhat_leq(x, y) == tableau_leq(x, y)
