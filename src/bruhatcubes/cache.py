@@ -14,8 +14,11 @@ no crc, still load, unchecked, and are appended to in their own format.
 New entries are appended as they are computed, so interrupted sweeps keep
 their work.  An unterminated last line that does not parse or fails its
 check, as an interrupted append leaves it, is cut off when the file is
-opened; a bad line anywhere else is an error.  The environment variable
-``BRUHAT_CACHE`` supplies a default path when none is configured explicitly.
+opened; a bad line anywhere else is an error.
+
+The environment variable ``BRUHAT_CACHE`` supplies the command line's default
+path (``--cache PATH``); only ``cli._configure_cache`` reads it, so importing
+the package opens no file.  An empty value counts as unset.
 """
 
 from __future__ import annotations
@@ -151,4 +154,5 @@ def _drop_torn_tail(path: str) -> bool:
 
 
 def default_cache_path() -> str | None:
-    return os.environ.get(ENV_VAR)
+    """The path named by ``BRUHAT_CACHE``, or None when it is unset or empty."""
+    return os.environ.get(ENV_VAR) or None

@@ -21,7 +21,8 @@ from .interval import Interval, interval
 from .permutations import Perm, direct_sum, format_perm, split_direct_sum
 from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str, pshift
 from .hcd import (
-    _joins,
+    _join_ids,
+    _r_element,
     enumerate_hcds,
     is_amazing,
     is_amazing_r_element,
@@ -233,11 +234,10 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
             "bologna", I, "SKIP", z=format_perm(z), z2=format_perm(zp), reason="pair not amazing"
         )
     hyp1 = is_amazing_r_element(I, z)
-    # one pass over the row of joins; a missing one raises in _require_join
+    # one pass over the row of joins, by id; z' is amazing, so each exists
+    n, u, v = I.n, I.uid, I.vid
     hyp2 = all(
-        is_r_element(interval(x, I.v), j or _require_join(I, zp, x))
-        for x, j in _joins(I, zp)
-        if x != I.u
+        _r_element(n, x, v, k) for x, k in _join_ids(I.index.up, I.mask, I.upper(zp)) if x != u
     )
     hyp3 = ds_symmetric(I, z, zp)
     hyps = {"h1": hyp1, "h2": hyp2, "h3": hyp3}

@@ -19,6 +19,15 @@ rank index (see :mod:`bruhatcubes.interval`): [z, v] is a mask over
 permutation ids, a join is the lowest set bit of an intersection checked
 against its own up-set, and shortcuts read the geodesic masks of the
 bottom, shared by every interval with that bottom.
+
+The four predicates of the sweep run on permutation ids.  The kernels
+``_upper_hcd``, ``_amazing``, ``_r_element`` and ``_amazing_r_element`` take
+``(n, u, v, z)``, the rank and the ids of u, v and z, and are memoized on
+those four ints.  Each reads [u, v] as ``up[u] & down[v]`` and a
+sub-interval [x, v] as ``up[x] & down[v]``, so no ``Interval`` is built for
+it.  ``is_upper_hcd``, ``is_amazing``, ``is_r_element`` and
+``is_amazing_r_element`` are unmemoized wrappers: they look up the id of z,
+raise ``OrderError`` when z is not in the interval, and call the kernel.
 """
 
 from __future__ import annotations
@@ -28,14 +37,8 @@ from functools import lru_cache
 from typing import AbstractSet
 
 from .errors import OrderError
-from .interval import Interval, bits, interval
-from .permutations import (
-    Perm,
-    format_perm,
-    incomparable,
-    inverse,
-    lower_neighbors,
-)
+from .interval import Interval, RankIndex, bits, rank_index
+from .permutations import Perm, format_perm, incomparable, lower_neighbors
 from .polynomials import QPoly, ZERO, padd, pshift
 from .rpoly import rtilde
 
@@ -191,21 +194,40 @@ def inflow(I: Interval, z: Perm, p: Perm) -> frozenset[Perm]:
     return frozenset(I.members(I.index.in_mask[k] & I.mask & ~zv))
 
 
+def _member_key(I: Interval, z: Perm) -> tuple[int, int, int, int]:
+    """The memo key (n, u, v, z) of a member z, by id; OrderError when z is
+    not in the interval."""
+    k = I.index.id.get(z)
+    if k is None or not I.mask >> k & 1:
+        raise OrderError(f"{format_perm(z)} is not in {I!r}")
+    return I.n, I.uid, I.vid, k
+
+
+def _masks(n: int, u: int, v: int, z: int) -> tuple[RankIndex, int, int]:
+    """The index of rank n and the masks of [u, v] and [z, v], by id."""
+    index = rank_index(n)
+    mask = index.up[u] & index.down[v]
+    return index, mask, index.up[z] & mask
+
+
 @lru_cache(maxsize=1 << 18)
+def _upper_hcd(n: int, u: int, v: int, z: int) -> bool:
+    index, mask, zv = _masks(n, u, v, z)
+    if not index.diamond_complete(mask, zv):
+        return False
+    outside = mask & ~zv
+    inn, perms = index.in_mask, index.perms
+    for p in bits(zv):
+        sources = inn[p] & outside
+        if sources and not spans_cluster(perms[p], frozenset(perms[k] for k in bits(sources))):
+            return False
+    return True
+
+
 def is_upper_hcd(I: Interval, z: Perm) -> bool:
     """Diamond completeness of [z, v] plus the cluster condition at every
     p in [z, v]."""
-    I.require(z)
-    if not I.is_diamond_complete(z):
-        return False
-    zv = I.upper(z)
-    outside = I.mask & ~zv
-    inn, perms = I.index.in_mask, I.index.perms
-    for p in bits(zv):
-        sources = inn[p] & outside
-        if sources and not spans_cluster(perms[p], frozenset(I.members(sources))):
-            return False
-    return True
+    return _upper_hcd(*_member_key(I, z))
 
 
 def _minimum(I: Interval, mask: int) -> Perm | None:
@@ -215,34 +237,24 @@ def _minimum(I: Interval, mask: int) -> Perm | None:
     return None if k is None else I.index.perms[k]
 
 
-STANDARD_KINDS = ("left-drop-top", "left-drop-bottom", "right-drop-top", "right-drop-bottom")
-
-
 def standard_hcd_kinds(I: Interval) -> dict[str, Perm]:
     """The four coset minima that are always upper hypercube decompositions.
 
     For v in rank n, the four ambient cosets are W_J v and v W_J for
     J = S minus the top or bottom simple generator; membership reduces to a
-    one-entry window condition on x or on x * v^{-1}.
+    one-entry window condition on x or on x * v^{-1}, which is one mask of
+    the index.
     """
-    v = I.v
-    n = I.n
-    if n == 1:
-        return {kind: v for kind in STANDARD_KINDS}
-    vinv = inverse(v)
-    pos_top = vinv[n - 1]  # position carrying value n in v
-    pos_bot = vinv[0]
-    tests = {
-        "left-drop-top": lambda x: x[pos_top - 1] == n,  # x v^-1 fixes n
-        "left-drop-bottom": lambda x: x[pos_bot - 1] == 1,  # x v^-1 fixes 1
-        "right-drop-top": lambda x: x[n - 1] == v[n - 1],  # v^-1 x fixes n
-        "right-drop-bottom": lambda x: x[0] == v[0],  # v^-1 x fixes 1
+    v, n, where = I.v, I.n, I.index.where
+    cosets = {
+        "left-drop-top": where[v.index(n)][n],  # x v^-1 fixes n
+        "left-drop-bottom": where[v.index(1)][1],  # x v^-1 fixes 1
+        "right-drop-top": where[n - 1][v[n - 1]],  # v^-1 x fixes n
+        "right-drop-bottom": where[0][v[0]],  # v^-1 x fixes 1
     }
     out: dict[str, Perm] = {}
-    perms = I.index.perms
-    for kind, test in tests.items():
-        mask = sum(1 << k for k in bits(I.mask) if test(perms[k]))
-        m = _minimum(I, mask)
+    for kind, coset in cosets.items():
+        m = _minimum(I, I.mask & coset)
         if m is None:
             raise LookupError(
                 f"coset intersection in {I!r} has no Bruhat-minimum ({kind}); this is a bug"
@@ -263,35 +275,43 @@ def join(I: Interval, z: Perm, x: Perm) -> Perm | None:
     return _minimum(I, I.upper(z) & I.upper(x))
 
 
-def _joins(I: Interval, z: Perm):
-    """(x, join of z and x) for every x of the interval, in element order;
-    the join is None when there is none.  This is ``I.least`` inlined: the
-    cone [z, v] & [x, v] always holds v, so its lowest bit exists."""
-    up, perms = I.index.up, I.index.perms
-    zv = I.upper(z)
-    for x in bits(I.mask):
+def _join_ids(up: tuple[int, ...], mask: int, zv: int):
+    """(x, id of the join of z and x) for every id x in ``mask``, in id
+    order, given ``zv``, the mask of [z, v]; the join is -1 when there is
+    none.  This is ``Interval.least`` inlined: the cone [z, v] & [x, v]
+    always holds v, so its lowest bit exists."""
+    for x in bits(mask):
         cone = zv & up[x]
         k = (cone & -cone).bit_length() - 1
-        yield perms[x], None if cone & ~up[k] else perms[k]
+        yield x, -1 if cone & ~up[k] else k
 
 
 @lru_cache(maxsize=1 << 17)
-def is_amazing(I: Interval, z: Perm) -> bool:
-    """Upper decomposition whose join with every x exists and is an upper
-    decomposition of [x, v]."""
-    if not is_upper_hcd(I, z):
+def _amazing(n: int, u: int, v: int, z: int) -> bool:
+    if not _upper_hcd(n, u, v, z):
         return False
-    u, v = I.u, I.v
-    for x, j in _joins(I, z):
-        if j is None:
-            return False
-        if x != u and not is_upper_hcd(interval(x, v), j):
+    index, mask, zv = _masks(n, u, v, z)
+    for x, k in _join_ids(index.up, mask, zv):
+        if k < 0 or (x != u and not _upper_hcd(n, x, v, k)):
             return False
     return True
 
 
+def is_amazing(I: Interval, z: Perm) -> bool:
+    """Upper decomposition whose join with every x exists and is an upper
+    decomposition of [x, v]."""
+    return _amazing(*_member_key(I, z))
+
+
 # ---------------------------------------------------------------------------
 # shortcuts and R-elements
+
+
+def _shortcut_ids(index: RankIndex, u: int, v: int, zv: int) -> list[int]:
+    """The shortcuts p in ``zv``, the mask of [z, v] in [u, v]: the p whose
+    geodesic mask from u meets [z, v] in p alone."""
+    geo = index.distances(u, v)[1]
+    return [p for p in bits(zv) if geo[p] & zv == 1 << p]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -304,9 +324,8 @@ def shortcuts(I: Interval, z: Perm) -> frozenset[Perm]:
     path-enumeration form is kept as a test oracle.
     """
     I.require(z)
-    zv = I.upper(z)
-    geo, perms = I.geo_mask, I.index.perms
-    return frozenset(perms[p] for p in bits(zv) if geo[p] & zv == 1 << p)
+    perms = I.index.perms
+    return frozenset(perms[p] for p in _shortcut_ids(I.index, I.uid, I.vid, I.upper(z)))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -323,37 +342,51 @@ def shortcuts_by_cover_distance(I: Interval, z: Perm) -> frozenset[Perm]:
     )
 
 
-def rtilde_z(I: Interval, z: Perm) -> QPoly:
-    """Sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p for z."""
-    v = I.v
+def _shortcut_sum(index: RankIndex, u: int, v: int, zv: int) -> QPoly:
+    """Sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p in ``zv``."""
+    depth = index.distances(u, v)[0]
+    perms = index.perms
+    top = perms[v]
     total: QPoly = ZERO
-    for p in shortcuts(I, z):
-        total = padd(total, pshift(rtilde(p, v), I.depth_of(p)))
+    for p in _shortcut_ids(index, u, v, zv):
+        total = padd(total, pshift(rtilde(perms[p], top), depth[p]))
     return total
 
 
+def rtilde_z(I: Interval, z: Perm) -> QPoly:
+    """Sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p for z."""
+    I.require(z)
+    return _shortcut_sum(I.index, I.uid, I.vid, I.upper(z))
+
+
 @lru_cache(maxsize=1 << 18)
+def _r_element(n: int, u: int, v: int, z: int) -> bool:
+    index, _, zv = _masks(n, u, v, z)
+    return _shortcut_sum(index, u, v, zv) == rtilde(index.perms[u], index.perms[v])
+
+
 def is_r_element(I: Interval, z: Perm) -> bool:
-    return rtilde_z(I, z) == rtilde(I.u, I.v)
+    return _r_element(*_member_key(I, z))
 
 
 @lru_cache(maxsize=1 << 17)
+def _amazing_r_element(n: int, u: int, v: int, z: int) -> bool:
+    if not _amazing(n, u, v, z):
+        return False
+    index, mask, zv = _masks(n, u, v, z)
+    return all(_r_element(n, x, v, k) for x, k in _join_ids(index.up, mask, zv))
+
+
 def is_amazing_r_element(I: Interval, z: Perm) -> bool:
     """Amazing decomposition whose join with every x is an R-element of
     [x, v]."""
-    if not is_amazing(I, z):
-        return False
-    v = I.v
-    for x, j in _joins(I, z):
-        assert j is not None
-        if not is_r_element(interval(x, v), j):
-            return False
-    return True
+    return _amazing_r_element(*_member_key(I, z))
 
 
 @lru_cache(maxsize=1 << 16)
 def enumerate_hcds(I: Interval, amazing_only: bool = False) -> tuple[Perm, ...]:
     """Every z in the interval passing the decomposition predicate, in
     element order."""
-    test = is_amazing if amazing_only else is_upper_hcd
-    return tuple(z for z in I.elements if test(I, z))
+    test = _amazing if amazing_only else _upper_hcd
+    n, u, v, perms = I.n, I.uid, I.vid, I.index.perms
+    return tuple(perms[z] for z in bits(I.mask) if test(n, u, v, z))

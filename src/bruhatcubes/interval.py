@@ -7,7 +7,9 @@ The index (:func:`rank_index`) numbers the n! permutations of a rank by
 * ``in_mask[i]`` and ``out_mask[i]``: n!-bit ints whose set bits are the
   sources and targets of the Bruhat-graph arrows into and out of
   ``perms[i]``, and ``arrows[i]``, the arrows out as ``{target id: label}``;
-* ``up[i]`` and ``down[i]``: the elements above and below ``perms[i]``.
+* ``up[i]`` and ``down[i]``: the elements above and below ``perms[i]``;
+* ``where[i][a]``: the ids whose window has value a at position i + 1, so
+  a coset of a parabolic subgroup fixing one entry is one mask.
 
 It is built once from :func:`~bruhatcubes.permutations.lower_neighbors`.
 Bruhat order is the transitive closure of the arrows, and every arrow
@@ -93,6 +95,10 @@ class RankIndex:
             for y in arrows[x]:
                 above |= up[y]
             up[x] = above
+        where = [[0] * (n + 1) for _ in range(n)]
+        for k, w in enumerate(perms):
+            for i, a in enumerate(w):
+                where[i][a] |= 1 << k
         self.perms: tuple[Perm, ...] = perms
         self.id: dict[Perm, int] = ids
         self.length: tuple[int, ...] = tuple(lengths[x] for x in perms)
@@ -101,6 +107,7 @@ class RankIndex:
         self.arrows: tuple[dict[int, Reflection], ...] = tuple(arrows)
         self.up: tuple[int, ...] = tuple(up)
         self.down: tuple[int, ...] = tuple(down)
+        self.where: tuple[tuple[int, ...], ...] = tuple(map(tuple, where))
         self._bottoms: dict[int, list] = {}
 
     def distances(self, u: int, v: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -132,6 +139,22 @@ class RankIndex:
                 geo[p] = g
             entry[0] = covered | todo
         return depth, geo
+
+    def diamond_complete(self, mask: int, zv: int) -> bool:
+        """True iff every diamond x -> a, b -> y with a, b and y in ``zv``
+        has its bottom x in ``zv`` too, for x among the members of ``mask``."""
+        out = self.out_mask
+        for x in bits(mask & ~zv):
+            mids = out[x] & zv
+            if not mids & (mids - 1):
+                continue  # fewer than two midpoints
+            seen = 0
+            for a in bits(mids):
+                tops = out[a] & zv
+                if seen & tops:
+                    return False
+                seen |= tops
+        return True
 
 
 @lru_cache(maxsize=None)
@@ -353,19 +376,7 @@ class Interval:
         """True iff every diamond with both midpoints and top in [z, v] has
         its bottom in [z, v] as well."""
         self.require(z)
-        zv = self.upper(z)
-        out = self.index.out_mask
-        for x in bits(self.mask & ~zv):
-            mids = out[x] & zv
-            if not mids & (mids - 1):
-                continue  # fewer than two midpoints
-            seen = 0
-            for a in bits(mids):
-                tops = out[a] & zv
-                if seen & tops:
-                    return False
-                seen |= tops
-        return True
+        return self.index.diamond_complete(self.mask, self.upper(z))
 
     # ---- duality --------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cache import PolyCache, default_cache_path
+from .cache import PolyCache
 from .errors import OrderError, WordError
 from .interval import Interval
 from .permutations import (
@@ -35,7 +35,8 @@ from .polynomials import ONE, QPoly, ZERO, normalize, padd, pshift
 # ---------------------------------------------------------------------------
 # recurrence route
 
-_cache = PolyCache(default_cache_path())
+# in memory only until ``set_cache`` installs another; importing opens no file
+_cache = PolyCache(None)
 
 
 def set_cache(cache: PolyCache) -> PolyCache:

@@ -4,11 +4,13 @@ Everything here recomputes results from first principles: subword and
 sorted-prefix (tableau) Bruhat comparison, literal path enumeration without
 pruning, and hypercube cell assignment over the whole group.  None of it
 shares a code path with the implementations under test beyond elementary
-window arithmetic.
+window arithmetic, except that the R-element form reads R-tilde values from
+``rpoly.rtilde``, which ``test_rpoly`` checks against the path-counting route.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import insort
 from functools import lru_cache
 
@@ -19,6 +21,7 @@ from bruhatcubes.permutations import (
     length,
     right_multiply_simple,
 )
+from bruhatcubes.rpoly import rtilde
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +86,11 @@ def interval_elements_brute(u: Perm, v: Perm) -> set[Perm]:
 
 def bruhat_edges_brute(members: set[Perm]) -> set[tuple[Perm, Perm, tuple[int, int]]]:
     """All labeled arrows between members, found by pairwise window scan."""
+    return set(_edges_brute(frozenset(members)))
+
+
+@lru_cache(maxsize=4096)
+def _edges_brute(members: frozenset[Perm]) -> frozenset[tuple[Perm, Perm, tuple[int, int]]]:
     edges = set()
     for x in members:
         for y in members:
@@ -93,7 +101,7 @@ def bruhat_edges_brute(members: set[Perm]) -> set[tuple[Perm, Perm, tuple[int, i
                 i, j = diff
                 if x[i - 1] == y[j - 1] and x[j - 1] == y[i - 1]:
                     edges.add((x, y, (i, j)))
-    return edges
+    return frozenset(edges)
 
 
 def is_diamond_complete_brute(members: set[Perm], z: Perm) -> bool:
@@ -201,6 +209,7 @@ def enumerate_cube_assignments_brute(
     return found
 
 
+@lru_cache(maxsize=None)
 def count_cube_assignments_brute(top: Perm, sources: tuple[Perm, ...]) -> int:
     return len(enumerate_cube_assignments_brute(top, sources))
 
@@ -270,3 +279,70 @@ def rtilde_brute_by_hand_s3() -> dict[tuple[Perm, Perm], tuple[int, ...]]:
         ((2, 3, 1), (3, 2, 1)): (0, 1),
         ((3, 1, 2), (3, 2, 1)): (0, 1),
     }
+
+
+# ---------------------------------------------------------------------------
+# the decomposition predicates, from their definitions; keyed on (u, v, z)
+
+
+@lru_cache(maxsize=None)
+def upper_hcd_brute(u: Perm, v: Perm, z: Perm) -> bool:
+    """[z, v] is diamond complete, and at every p in [z, v] every antichain
+    of two or more sources of arrows into p from [u, v] minus [z, v] has
+    exactly one complete cube assignment."""
+    members = interval_elements_brute(u, v)
+    if not is_diamond_complete_brute(members, z):
+        return False
+    zv = {x for x in members if subword_leq(z, x)}
+    edges = bruhat_edges_brute(members)
+    for p in zv:
+        sources = sorted(x for x, y, _ in edges if y == p and x not in zv)
+        for k in range(2, len(sources) + 1):
+            for family in itertools.combinations(sources, k):
+                if any(
+                    subword_leq(a, b) or subword_leq(b, a)
+                    for a, b in itertools.combinations(family, 2)
+                ):
+                    continue
+                if count_cube_assignments_brute(p, family) != 1:
+                    return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def amazing_brute(u: Perm, v: Perm, z: Perm) -> bool:
+    """Upper, and for every x the join of z and x exists and is an upper
+    decomposition of [x, v]."""
+    if not upper_hcd_brute(u, v, z):
+        return False
+    members = interval_elements_brute(u, v)
+    for x in members:
+        j = join_brute(members, z, x)
+        if j is None or not upper_hcd_brute(x, v, j):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def r_element_brute(u: Perm, v: Perm, z: Perm) -> bool:
+    """The sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p for z equals
+    R-tilde(u, v); d(u, p) is the length of a geodesic, found by search."""
+    members = interval_elements_brute(u, v)
+    total: list[int] = []
+    for p in shortcuts_brute(members, u, v, z):
+        d = len(geodesics_brute(members, u, p)[0]) - 1
+        for k, c in enumerate(rtilde(p, v), start=d):
+            total.extend([0] * (k + 1 - len(total)))
+            total[k] += c
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total) == rtilde(u, v)
+
+
+def amazing_r_element_brute(u: Perm, v: Perm, z: Perm) -> bool:
+    """Amazing, and for every x the join of z and x is an R-element of
+    [x, v]."""
+    if not amazing_brute(u, v, z):
+        return False
+    members = interval_elements_brute(u, v)
+    return all(r_element_brute(x, v, join_brute(members, z, x)) for x in members)

@@ -81,6 +81,8 @@ def test_env_var_supplies_default(monkeypatch, tmp_path):
     assert default_cache_path() == str(target)
     monkeypatch.delenv("BRUHAT_CACHE")
     assert default_cache_path() is None
+    monkeypatch.setenv("BRUHAT_CACHE", "")
+    assert default_cache_path() is None
 
 
 def test_warm_cache_changes_no_results(tmp_path):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bruhatcubes.cache import PolyCache
 from bruhatcubes.cli import main
 from bruhatcubes.errors import ConfigError
 from bruhatcubes.rpoly import canonical_orders, get_cache, set_cache
@@ -384,3 +389,79 @@ def test_interval_checks_above_max_rank_are_rejected_before_sampling(monkeypatch
         )
         assert code == 5
         assert f"rank {MAX_RANK}" in err
+
+
+# ---------------------------------------------------------------------------
+# $BRUHAT_CACHE, read only by the command line, in fresh interpreters
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args, cache_env):
+    env = {k: v for k, v in os.environ.items() if k != "BRUHAT_CACHE"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["BRUHAT_CACHE"] = cache_env
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _cache_file(tmp_path, edited: bool = False) -> str:
+    """A cache file holding R-tilde(123, 321), its record edited on request."""
+    path = tmp_path / "poly.jsonl"
+    memo = PolyCache(str(path))
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.close()
+    if edited:
+        text = path.read_text()
+        path.write_text(text.replace('"coeffs": [0, 1, 0, 1]', '"coeffs": [0, 5]'))
+        assert path.read_text() != text
+    return str(path)
+
+
+def test_empty_env_cache_is_unset():
+    proc = _python("-m", "bruhatcubes.cli", "rtilde", "--u", "123", "--v", "321", cache_env="")
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "q^3+q", "")
+
+
+def test_import_opens_no_env_cache_file(tmp_path):
+    path = tmp_path / "missing" / "p.jsonl"
+    code = "import bruhatcubes.cli, bruhatcubes.rpoly as r; assert r.get_cache().path is None"
+    proc = _python("-c", code, cache_env=str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert not path.parent.exists()
+
+
+def test_edited_env_cache_exits_with_io_error(tmp_path):
+    path = _cache_file(tmp_path, edited=True)
+    proc = _python("-m", "bruhatcubes.cli", "rtilde", "--u", "123", "--v", "321", cache_env=path)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error:") and "checksum" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_edited_env_cache_is_not_read_with_no_cache(tmp_path):
+    path = _cache_file(tmp_path, edited=True)
+    argv = ("-m", "bruhatcubes.cli", "rtilde", "--u", "123", "--v", "321", "--no-cache")
+    proc = _python(*argv, cache_env=path)
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "q^3+q", "")
+
+
+def test_env_cache_file_is_loaded_once(tmp_path):
+    path = _cache_file(tmp_path)
+    # every load of an existing file ends by opening it for appending; count
+    # those from before the package is imported to the end of one command
+    code = (
+        "import sys\n"
+        "loads = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and args[0] == sys.argv[1] and args[1] == 'a':\n"
+        "        loads.append(args[0])\n"
+        "sys.addaudithook(hook)\n"
+        "from bruhatcubes import cli\n"
+        "assert cli.main(['rtilde', '--u', '123', '--v', '321']) == 0\n"
+        "print(len(loads))\n"
+    )
+    proc = _python("-c", code, path, cache_env=path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["q^3+q", "1"]

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -29,14 +30,22 @@ from bruhatcubes.polynomials import ONE
 from bruhatcubes.rpoly import rtilde
 
 from oracles import (
+    amazing_brute,
+    amazing_r_element_brute,
     bruhat_edges_brute,
     count_cube_assignments_brute,
     interval_elements_brute,
     join_brute,
+    r_element_brute,
     shortcuts_brute,
     subword_leq,
+    upper_hcd_brute,
 )
 from strategies import comparable_pair
+
+# the package exports the function ``interval``, which hides the submodule
+hcd = importlib.import_module("bruhatcubes.hcd")
+interval_module = importlib.import_module("bruhatcubes.interval")
 
 E3 = identity(3)
 W3 = longest_element(3)
@@ -299,3 +308,68 @@ def test_shortcuts_match_brute_force_s5_s6(pair):
     I = interval(u, v)
     for z in sorted(members):
         assert shortcuts(I, z) == shortcuts_brute(members, u, v, z), z
+
+
+# ---------------------------------------------------------------------------
+# the four predicates against their definitions
+
+PREDICATES = (is_upper_hcd, is_amazing, is_r_element, is_amazing_r_element)
+ORACLES = (upper_hcd_brute, amazing_brute, r_element_brute, amazing_r_element_brute)
+
+
+def _predicates_match_oracles(u, v):
+    I = interval(u, v)
+    for z in I.elements:
+        got = tuple(test(I, z) for test in PREDICATES)
+        assert got == tuple(brute(u, v, z) for brute in ORACLES), (u, v, z)
+
+
+def test_predicates_match_oracles_s4():
+    for u, v in comparable_pairs(4):
+        _predicates_match_oracles(u, v)
+
+
+@given(pair=comparable_pair(max_size=24))
+@settings(max_examples=15, deadline=None)
+def test_predicates_match_oracles_s5_s6(pair):
+    _predicates_match_oracles(*pair)
+
+
+def test_join_rows_match_oracle_s4():
+    # the row of joins that is_amazing, is_amazing_r_element and bologna read
+    missing = 0
+    for u, v in comparable_pairs(4):
+        I = interval(u, v)
+        members, perms = set(I.elements), I.index.perms
+        for z in I.elements:
+            row = [(x, join_brute(members, z, x)) for x in I.elements]
+            got = hcd._join_ids(I.index.up, I.mask, I.upper(z))
+            assert [(perms[x], perms[k] if k >= 0 else None) for x, k in got] == row, (u, v, z)
+            missing += sum(j is None for _, j in row)
+    assert missing == 504
+
+
+def test_predicates_reject_z_outside_interval():
+    I = interval((1, 3, 2), W3)
+    for test in PREDICATES:
+        for z in (E3, (2, 1, 3, 4), (1, 1, 3)):
+            with pytest.raises(OrderError):
+                test(I, z)
+
+
+def test_amazing_r_element_builds_no_sub_intervals(monkeypatch):
+    memos = [f for f in vars(hcd).values() if hasattr(f, "cache_clear")]
+    for memo in (*memos, interval_module.interval):
+        memo.cache_clear()
+    built = []
+    init = interval_module.Interval.__init__
+
+    def counted(self, u, v):
+        built.append((u, v))
+        init(self, u, v)
+
+    monkeypatch.setattr(interval_module.Interval, "__init__", counted)
+    e, w0 = identity(4), longest_element(4)
+    I = interval(e, w0)
+    assert [is_amazing_r_element(I, z) for z in I.elements].count(True) == 3
+    assert built == [(e, w0)]
