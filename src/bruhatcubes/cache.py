@@ -9,11 +9,18 @@ by one record per entry, e.g.::
 ``"crc"``, so an edited record fails its check on load instead of silently
 changing results.  It detects edits and damage, not forgeries: anyone who
 edits a record can recompute its crc.  Files of version 1, whose records have
-no crc, still load, unchecked, and are appended to in their own format.
+no crc, still load, unchecked, and are appended to in their own format.  The
+header's ``cache_version`` is an integer (not ``true``, not ``2.0``).
+
+A record must be spelled exactly as ``PolyCache.put`` writes it: these keys
+in this order, ``", "`` and ``": "`` as separators, numbers as digits without
+leading zeros, windows as ``format_perm`` spells them, and coefficients
+normalized (the list does not end in 0).  Only the header is read as JSON;
+a record that is valid JSON but spelled otherwise is a bad record.
 
 New entries are appended as they are computed, so interrupted sweeps keep
-their work.  An unterminated last line that does not parse or fails its
-check, as an interrupted append leaves it, is cut off when the file is
+their work.  An unterminated last line that is not such a record or fails
+its check, as an interrupted append leaves it, is cut off when the file is
 opened; a bad line anywhere else is an error.
 
 The environment variable ``BRUHAT_CACHE`` supplies the command line's default
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import zlib
 
@@ -35,7 +43,14 @@ from .polynomials import QPoly
 CACHE_VERSION = 2
 READABLE_VERSIONS = (1, 2)
 ENV_VAR = "BRUHAT_CACHE"
-_CRC = ', "crc": '
+
+_NUM = rb"(?:[1-9][0-9]*|0)"
+# one record exactly as ``put`` spells it; group 1 is the text its crc covers,
+# then the windows u and v, the coefficient list and the crc (version 2 only)
+_RECORD = re.compile(
+    rb'(\{"n": %s, "u": "([0-9,]+)", "v": "([0-9,]+)", "coeffs": \[((?:%s(?:, %s)*)?)\])'
+    rb'(?:, "crc": (%s))?\}' % (_NUM, _NUM, _NUM, _NUM)
+)
 
 
 class PolyCache:
@@ -55,47 +70,55 @@ class PolyCache:
 
     def _open(self, path: str) -> None:
         if os.path.exists(path) and os.path.getsize(path) > 0:
-            with open(path, "r", encoding="utf-8") as fh:
-                header_line = fh.readline()
-                try:
-                    header = json.loads(header_line)
-                    version = self._version = header.get("cache_version")
-                except (json.JSONDecodeError, AttributeError) as exc:
-                    raise CacheError(f"{path}: bad cache header") from exc
-                if version not in READABLE_VERSIONS:
-                    raise CacheError(f"{path}: unsupported cache_version {version}")
-                windows: dict[str, Perm] = {}
-
-                def window(text: str) -> Perm:
-                    # each distinct window is parsed and validated once per load
-                    w = windows.get(text)
-                    if w is None:
-                        w = windows[text] = parse_perm(text)
-                    return w
-
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        if version >= 2:
-                            _check_crc(line)
-                        rec = json.loads(line)
-                        key = (window(rec["u"]), window(rec["v"]))
-                        self._memo[key] = tuple(map(int, rec["coeffs"]))
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                        if next(fh, None) is None and _drop_torn_tail(path):
-                            break
-                        raise CacheError(f"{path}: bad cache record {line!r} ({exc})") from exc
-            self._fh = open(path, "a", encoding="utf-8")
-            if not _ends_with_newline(path):
+            ended = self._load(path)
+            self._fh = open(path, "ab", buffering=0)
+            if not ended:
                 # a whole last record without its line break: end it, so
                 # that the next append starts a line of its own
-                self._fh.write("\n")
+                self._write(b"\n")
         else:
-            self._fh = open(path, "w", encoding="utf-8")
-            self._fh.write(json.dumps({"cache_version": CACHE_VERSION}) + "\n")
-            self._fh.flush()
+            self._fh = open(path, "wb", buffering=0)
+            self._write(json.dumps({"cache_version": CACHE_VERSION}).encode() + b"\n")
+
+    def _load(self, path: str) -> bool:
+        """Read every record of the file into the memo in one pass; True when
+        the file ends in a line break."""
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            try:
+                version = self._version = json.loads(line).get("cache_version")
+            except (ValueError, AttributeError) as exc:
+                raise CacheError(f"{path}: bad cache header") from exc
+            if type(version) is not int or version not in READABLE_VERSIONS:
+                raise CacheError(f"{path}: unsupported cache_version {version!r}")
+            checked = version >= 2
+            # each distinct window and coefficient list is parsed once per load,
+            # so equal polynomials share one tuple
+            windows = _Parsed(_window)
+            polys = _Parsed(_coeffs)
+            memo = self._memo
+            match = _RECORD.fullmatch
+            crc32 = zlib.crc32
+            for line in fh:
+                record = line.strip()
+                if not record:
+                    continue
+                m = match(record)
+                try:
+                    if m is None or (m[5] is None) == checked:
+                        raise ValueError("not spelled as the cache writes records")
+                    if checked and crc32(m[1]) != int(m[5]):
+                        raise ValueError("checksum mismatch")
+                    memo[windows[m[2]], windows[m[3]]] = polys[m[4]]
+                except ValueError as exc:
+                    if not line.endswith(b"\n"):
+                        # only the last line lacks its line break: this is the
+                        # torn tail an interrupted append leaves, so cut it off
+                        os.truncate(path, fh.tell() - len(line))
+                        return True
+                    text = record.decode(errors="backslashreplace")
+                    raise CacheError(f"{path}: bad cache record {text!r} ({exc})") from exc
+            return line.endswith(b"\n")
 
     @property
     def path(self) -> str | None:
@@ -116,11 +139,19 @@ class PolyCache:
                 body = (
                     f'{{"n": {len(u)}, "u": "{format_perm(u)}", "v": "{format_perm(v)}", '
                     f'"coeffs": [{", ".join(map(str, poly))}]'
-                )
+                ).encode()
                 if self._version >= 2:
-                    body = f"{body}{_CRC}{zlib.crc32(body.encode())}"
-                self._fh.write(body + "}\n")
-                self._fh.flush()
+                    self._write(body + b', "crc": %d}\n' % zlib.crc32(body))
+                else:
+                    self._write(body + b"}\n")
+
+    def _write(self, data: bytes) -> None:
+        """Hand ``data`` to the OS in one unbuffered write; a short write is
+        taken back and raised, so no partial line stays in the file."""
+        written = self._fh.write(data) or 0
+        if written != len(data):
+            self._fh.truncate(self._fh.tell() - written)
+            raise OSError(f"{self._path}: wrote {written} of {len(data)} bytes")
 
     def close(self) -> None:
         with self._lock:
@@ -129,28 +160,30 @@ class PolyCache:
                 self._fh = None
 
 
-def _check_crc(line: str) -> None:
-    """Raise ValueError unless ``line`` ends in the crc of its own text."""
-    body, sep, crc = line.rpartition(_CRC)
-    if not sep or not crc.endswith("}") or zlib.crc32(body.encode()) != int(crc[:-1]):
-        raise ValueError("checksum mismatch")
+class _Parsed(dict):
+    """``{text: value}`` that parses each text on its first lookup only."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self._parse = parse
+
+    def __missing__(self, text: bytes):
+        value = self[text] = self._parse(text)
+        return value
 
 
-def _ends_with_newline(path: str) -> bool:
-    with open(path, "rb") as fh:
-        fh.seek(-1, os.SEEK_END)
-        return fh.read(1) == b"\n"
+def _window(text: bytes) -> Perm:
+    w = parse_perm(text.decode())
+    if format_perm(w).encode() != text:
+        raise ValueError(f"window {text.decode()!r} is not spelled as written")
+    return w
 
 
-def _drop_torn_tail(path: str) -> bool:
-    """Truncate the file after its last line break, dropping the unterminated
-    line that an interrupted append leaves; False if the file ends whole."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        if data.endswith(b"\n"):
-            return False
-        fh.truncate(data.rfind(b"\n") + 1)
-        return True
+def _coeffs(text: bytes) -> QPoly:
+    poly = tuple(map(int, text.split(b", "))) if text else ()
+    if poly and not poly[-1]:
+        raise ValueError("coefficients are not normalized (the last one is 0)")
+    return poly
 
 
 def default_cache_path() -> str | None:

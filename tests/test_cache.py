@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import zlib
 
@@ -44,25 +45,49 @@ def test_file_cache_roundtrip(tmp_path):
     warm.close()
 
 
-def test_s4_cache_file_bytes_are_pinned(tmp_path):
-    # rtilde of every ordered pair of S4, in all_perms order, into a fresh
-    # file: the records, their order and their spelling are all pinned
-    path = tmp_path / "poly.jsonl"
+def _cache_every_pair(path, n: int) -> PolyCache:
+    """rtilde of every ordered pair of S_n, in all_perms order, into a fresh
+    file; returns the closed cache."""
     installed = PolyCache(str(path))
     old = set_cache(installed)
     try:
-        s4 = list(all_perms(4))
-        for u in s4:
-            for v in s4:
+        perms = list(all_perms(n))
+        for u in perms:
+            for v in perms:
                 rtilde(u, v)
     finally:
         set_cache(old)
         installed.close()
+    return installed
+
+
+def test_s4_cache_file_bytes_are_pinned(tmp_path):
+    # the records, their order and their spelling are all pinned
+    path = tmp_path / "poly.jsonl"
+    _cache_every_pair(path, 4)
     data = path.read_bytes()
     assert len(data) == 40515
     assert hashlib.sha256(data).hexdigest() == (
         "136b3b87c8d77e1f19653eca1efadf2aa2bcd74e27d5b4a63e81983e8d1d1b93"
     )
+
+
+def test_s5_cache_file_bytes_are_pinned_and_reload_shared(tmp_path):
+    # reloading gives the memo back, with each distinct polynomial held once
+    path = tmp_path / "poly.jsonl"
+    installed = _cache_every_pair(path, 5)
+    data = path.read_bytes()
+    assert len(data) == 1044930
+    assert hashlib.sha256(data).hexdigest() == (
+        "e0f320f34fb03eab75fbf234235eb29d4ed8bad8646ee9cf97874f163f6c9979"
+    )
+    reloaded = PolyCache(str(path))
+    reloaded.close()
+    s5 = list(all_perms(5))
+    assert len(reloaded) == len(installed) == len(s5) ** 2
+    polys = [reloaded.get(u, v) for u in s5 for v in s5]
+    assert polys == [installed.get(u, v) for u in s5 for v in s5]
+    assert len({id(p) for p in polys}) == len(set(polys))
 
 
 def test_file_cache_rejects_bad_header(tmp_path):
@@ -73,6 +98,13 @@ def test_file_cache_rejects_bad_header(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(CacheError):
         PolyCache(str(path))
+    # the version is an int: true would read as 1 and drop every later crc
+    for version in ("true", "2.0", '"2"'):
+        header = f'{{"cache_version": {version}}}\n'
+        path.write_text(header)
+        with pytest.raises(CacheError, match="cache_version"):
+            PolyCache(str(path))
+        assert path.read_text() == header
 
 
 def test_env_var_supplies_default(monkeypatch, tmp_path):
@@ -120,10 +152,14 @@ def _write_cache(path, lines, version=CACHE_VERSION):
     path.write_text("\n".join([header, *lines]))
 
 
-def _checked(record: dict) -> str:
-    """A version-2 record line: the crc32 of the text before its crc field."""
-    body = json.dumps(record)[:-1]
+def _sealed(body: str) -> str:
+    """``body`` closed by the crc32 of its own text, as version 2 ends records."""
     return f'{body}, "crc": {zlib.crc32(body.encode())}}}'
+
+
+def _checked(record: dict, **dumps) -> str:
+    """A version-2 record line: the crc32 of the text before its crc field."""
+    return _sealed(json.dumps(record, **dumps)[:-1])
 
 
 RECORD_231 = _checked({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
@@ -222,3 +258,61 @@ def test_written_records_carry_their_checksum(tmp_path):
     memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
     memo.close()
     assert path.read_text().splitlines()[1:] == [RECORD_231, RECORD_321]
+
+
+def test_record_spelled_otherwise_is_refused(tmp_path):
+    # valid JSON with a valid crc, but not spelled as the cache writes it
+    path = tmp_path / "poly.jsonl"
+    record = {"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]}
+    respelled = [
+        _checked(record, separators=(",", ":")),
+        _checked({"u": "123", "n": 3, "v": "321", "coeffs": [0, 1, 0, 1]}),
+        _checked({**record, "u": "1,2,3"}),
+        _sealed('{"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 01]'),
+    ]
+    for line in respelled:
+        _write_cache(path, [RECORD_231, line, ""])
+        with pytest.raises(CacheError, match="bad cache record"):
+            PolyCache(str(path))
+        # as an unterminated last line it is cut off like any torn tail
+        _write_cache(path, [RECORD_231, line])
+        memo = PolyCache(str(path))
+        memo.close()
+        assert len(memo) == 1
+        assert path.read_text().splitlines()[1:] == [RECORD_231]
+
+
+def test_unnormalized_coefficients_are_refused(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    record = {"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1, 0]}
+    for version, line in ((2, _checked(record)), (1, json.dumps(record))):
+        _write_cache(path, [line, ""], version=version)
+        with pytest.raises(CacheError, match="normalized"):
+            PolyCache(str(path))
+
+
+def test_crlf_line_ends_still_load(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    header = json.dumps({"cache_version": CACHE_VERSION})
+    path.write_bytes("\r\n".join([header, RECORD_231, RECORD_321, ""]).encode())
+    memo = PolyCache(str(path))
+    memo.close()
+    assert memo.get((1, 2, 3), (2, 3, 1)) == (0, 0, 1)
+    assert memo.get((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
+
+
+def test_short_write_raises_and_leaves_no_partial_line(tmp_path):
+    class ShortFile(io.FileIO):
+        def write(self, data):
+            return super().write(data[:10])
+
+    path = tmp_path / "poly.jsonl"
+    memo = PolyCache(str(path))
+    memo.put((1, 2, 3), (2, 3, 1), (0, 0, 1))
+    before = path.read_bytes()
+    memo._fh.close()
+    memo._fh = ShortFile(str(path), "ab")
+    with pytest.raises(OSError, match="wrote 10 of"):
+        memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.close()
+    assert path.read_bytes() == before

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,31 @@ def test_edited_cache_record_exits_with_io_error(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 4
         assert "checksum" in capsys.readouterr().err
+    finally:
+        set_cache(previous).close()
+
+
+@pytest.mark.parametrize(
+    "bad_record",
+    [
+        # a trailing zero coefficient under a valid crc: a bad cache, not a
+        # disagreement between the two routes
+        b'{"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1, 0], "crc": %d}'
+        % zlib.crc32(b'{"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1, 0]'),
+        # a byte that is not UTF-8
+        b'{"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]\xff}',
+    ],
+    ids=["not-normalized", "not-utf-8"],
+)
+def test_bad_cache_record_exits_with_io_error(tmp_path, capsys, bad_record):
+    path = tmp_path / "poly.jsonl"
+    path.write_bytes(b'{"cache_version": 2}\n' + bad_record + b"\n")
+    argv = ["rtilde", "--u", "123", "--v", "321", "--method", "both", "--cache", str(path)]
+    previous = get_cache()
+    try:
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "bad cache record" in err
     finally:
         set_cache(previous).close()
 
