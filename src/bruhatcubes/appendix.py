@@ -8,19 +8,21 @@ The hypercube family used for DH pairs a target p in [z, v] with every
 hypercube that is spanned by interval arrows into p whose sources are
 pairwise Bruhat-incomparable, has bottom equal to the interval bottom u, and
 whose vertex set meets [z, v] only at p.  Rank-0 hypercubes {p} are admitted
-and contribute exactly when p = u.  DH(z, z') then collects
+and contribute exactly when p = u.  ``_hypercubes`` finds these pairs on
+permutation ids, memoized on ``(n, u, v, z)``, and :func:`hypercube_level`
+reads (rank, p) off them: the level that the double expansion of
+:mod:`bruhatcubes.doubles` walks for DH.  DH(z, z') then collects
 (rank1 + rank2, b) over such pairs (H1, p) for [u, v] and (H2, b) for [p, v]
 with respect to the join of z' and p.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
-from .doubles import DegreeMultiset, _record, _require_join, multiset_entries
-from .hcd import HypercubeEmbedding, shortcuts, spans_hypercube, _antichains
-from .interval import Interval, bits, interval
+from .doubles import DegreeMultiset, _record, double_multiset, multiset_entries
+from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcuts, spans_hypercube
+from .interval import Interval, bits
 from .permutations import Perm, format_perm, lower_neighbors, root
 from .rpoly import constrained_orders, increasing_path_counts
 
@@ -70,49 +72,43 @@ def is_cosimple(I: Interval) -> bool:
 
 
 @lru_cache(maxsize=1 << 16)
-def antichain_hypercubes(
-    I: Interval, z: Perm
-) -> tuple[tuple[HypercubeEmbedding, Perm], ...]:
-    """All (hypercube, p) pairs for the decomposition z, in element order.
-
-    For each p in [z, v], every antichain of interval arrows into p is
-    tested for spanning; the embedding is kept when its bottom is the
-    interval bottom and its vertex set meets [z, v] only at p.
-    """
-    I.require(z)
-    u = I.u
-    zv = I.upper(z)
-    cone = frozenset(I.members(zv))
-    out: list[tuple[HypercubeEmbedding, Perm]] = []
+def _hypercubes(n: int, u: int, v: int, z: int) -> tuple[tuple[HypercubeEmbedding, int], ...]:
+    """(hypercube, id of p) for every antichain-spanned hypercube of [u, v]
+    for z: for each p in [z, v], every antichain of interval arrows into p
+    is tested for spanning, and the embedding is kept when its bottom is u
+    and its vertex set meets [z, v] only at p."""
+    index, mask, zv = _masks(n, u, v, z)
+    perms = index.perms
+    bottom = perms[u]
+    cone = frozenset(perms[k] for k in bits(zv))
+    out: list[tuple[HypercubeEmbedding, int]] = []
     for k in bits(zv):
-        p = I.index.perms[k]
-        sources = tuple(sorted(I.members(I.index.in_mask[k] & I.mask)))
+        p = perms[k]
+        sources = tuple(sorted(perms[s] for s in bits(index.in_mask[k] & mask)))
         for sub in _antichains(sources):
             emb = spans_hypercube(p, sub)
-            if emb is None or emb.bottom != u:
-                continue
-            if emb.image & cone != {p}:
-                continue
-            out.append((emb, p))
+            if emb is not None and emb.bottom == bottom and emb.image & cone == {p}:
+                out.append((emb, k))
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 14)
-def _dh_entries(I: Interval, z: Perm, zp: Perm) -> tuple:
-    I.require(z, zp)
-    v = I.v
-    out: DegreeMultiset = Counter()
-    for emb1, p in antichain_hypercubes(I, z):
-        j = _require_join(I, zp, p)
-        sub = interval(p, v)
-        for emb2, b in antichain_hypercubes(sub, j):
-            out[(emb1.rank + emb2.rank, b)] += 1
-    return tuple(sorted(out.items()))
+def hypercube_level(n: int, u: int, v: int, z: int) -> tuple[tuple[int, int], ...]:
+    """The hypercube level of [u, v] for z, by id: (rank, p) for every
+    antichain-spanned hypercube H with top p."""
+    return tuple((emb.rank, p) for emb, p in _hypercubes(n, u, v, z))
+
+
+def antichain_hypercubes(
+    I: Interval, z: Perm
+) -> tuple[tuple[HypercubeEmbedding, Perm], ...]:
+    """All (hypercube, p) pairs for the decomposition z, in element order."""
+    perms = I.index.perms
+    return tuple((emb, perms[p]) for emb, p in _hypercubes(*_member_key(I, z)))
 
 
 def dh_multiset(I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
     """The double-hypercube multiset for the ordered pair (z, z')."""
-    return Counter(dict(_dh_entries(I, z, zp)))
+    return double_multiset(hypercube_level, I, z, zp)
 
 
 def dh_symmetric(I: Interval, z: Perm, zp: Perm) -> bool:

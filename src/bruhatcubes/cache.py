@@ -14,9 +14,10 @@ header's ``cache_version`` is an integer (not ``true``, not ``2.0``).
 
 A record must be spelled exactly as ``PolyCache.put`` writes it: these keys
 in this order, ``", "`` and ``": "`` as separators, numbers as digits without
-leading zeros, windows as ``format_perm`` spells them, and coefficients
-normalized (the list does not end in 0).  Only the header is read as JSON;
-a record that is valid JSON but spelled otherwise is a bad record.
+leading zeros, windows as ``format_perm`` spells them, ``n`` the length of
+both windows, and coefficients normalized (the list does not end in 0).
+Only the header is read as JSON; a record that is valid JSON but spelled
+otherwise is a bad record.
 
 New entries are appended as they are computed, so interrupted sweeps keep
 their work.  An unterminated last line that is not such a record or fails
@@ -46,9 +47,10 @@ ENV_VAR = "BRUHAT_CACHE"
 
 _NUM = rb"(?:[1-9][0-9]*|0)"
 # one record exactly as ``put`` spells it; group 1 is the text its crc covers,
-# then the windows u and v, the coefficient list and the crc (version 2 only)
+# then the rank, the windows u and v, the coefficient list and the crc
+# (version 2 only)
 _RECORD = re.compile(
-    rb'(\{"n": %s, "u": "([0-9,]+)", "v": "([0-9,]+)", "coeffs": \[((?:%s(?:, %s)*)?)\])'
+    rb'(\{"n": (%s), "u": "([0-9,]+)", "v": "([0-9,]+)", "coeffs": \[((?:%s(?:, %s)*)?)\])'
     rb'(?:, "crc": (%s))?\}' % (_NUM, _NUM, _NUM, _NUM)
 )
 
@@ -105,11 +107,14 @@ class PolyCache:
                     continue
                 m = match(record)
                 try:
-                    if m is None or (m[5] is None) == checked:
+                    if m is None or (m[6] is None) == checked:
                         raise ValueError("not spelled as the cache writes records")
-                    if checked and crc32(m[1]) != int(m[5]):
+                    if checked and crc32(m[1]) != int(m[6]):
                         raise ValueError("checksum mismatch")
-                    memo[windows[m[2]], windows[m[3]]] = polys[m[4]]
+                    u, v = windows[m[3]], windows[m[4]]
+                    if not len(u) == len(v) == int(m[2]):
+                        raise ValueError("rank n does not match the windows")
+                    memo[u, v] = polys[m[5]]
                 except ValueError as exc:
                     if not line.endswith(b"\n"):
                         # only the last line lacks its line break: this is the

@@ -1,9 +1,14 @@
-"""Double-shortcut multisets, the symmetry relation on decompositions, and
-the verification drivers for the pair-level statements.
+"""The double expansion, double-shortcut multisets, the symmetry relation on
+decompositions, and the verification drivers for the pair-level statements.
 
-DS(z, z') collects one entry (d(u,p) + d(p,b), b) for every shortcut p of
-[u, v] with respect to z and every shortcut b of [p, v] with respect to the
-join of z' and p.  Multisets are plain Counters keyed by (degree, element).
+A level maps ids ``(n, u, v, z)`` to pairs ``(degree, p)``: the shortcut
+level of :mod:`~bruhatcubes.hcd` or the hypercube level of
+:mod:`~bruhatcubes.appendix`.  :func:`double_expansion`, the one walk over a
+level, yields (a + c, p, b) for every (a, p) of [u, v] for z and every (c, b)
+of [p, v] for the join of z' and p; [p, v] stays a pair of ids.  DS(z, z')
+and DH(z, z') count (a + c, b) over it in one memo keyed on the level and the
+ids, the Bologna chain sums R-tilde over it, and the product check compares
+its (p, b) pairs.  Multisets are plain Counters keyed by (degree, element).
 
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
@@ -17,19 +22,21 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import OrderError
-from .interval import Interval, interval
-from .permutations import Perm, direct_sum, format_perm, split_direct_sum
-from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str, pshift
+from .interval import Interval, interval, rank_index
+from .permutations import Perm, direct_sum, format_perm
+from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str
 from .hcd import (
     _join_ids,
     _r_element,
+    _rtilde_sum,
     enumerate_hcds,
     is_amazing,
     is_amazing_r_element,
     is_r_element,
-    join,
     rtilde_z,
+    shortcut_level,
     shortcuts,
+    standard_hcds,
 )
 from .rpoly import rtilde
 
@@ -41,33 +48,42 @@ def multiset_entries(ms: DegreeMultiset) -> list[tuple[int, str, int]]:
     return [(d, format_perm(b), k) for (d, b), k in sorted(ms.items())]
 
 
-def _require_join(I: Interval, z: Perm, x: Perm) -> Perm:
-    j = join(I, z, x)
-    if j is None:
-        raise OrderError(
-            f"[{format_perm(z)},v] and [{format_perm(x)},v] have no minimum in {I!r}; "
-            "inputs must be amazing decompositions"
-        )
-    return j
+def double_expansion(level, n: int, u: int, v: int, z: int, zp: int):
+    """The double expansion of (z, z') in [u, v] over ``level``, by id:
+    (a + c, p, b) for every (a, p) in ``level(n, u, v, z)`` and every (c, b)
+    in ``level(n, p, v, j)``, j the join of z' and p.  OrderError when a
+    join is missing."""
+    index = rank_index(n)
+    up = index.up
+    zv = up[zp] & index.down[v]
+    for a, p in level(n, u, v, z):
+        # the lowest bit of the cone is its only candidate minimum; v is in it
+        cone = zv & up[p]
+        j = (cone & -cone).bit_length() - 1
+        if cone & ~up[j]:
+            x, y = (format_perm(index.perms[k]) for k in (zp, p))
+            raise OrderError(f"{x} and {y} have no join; inputs must be amazing decompositions")
+        for c, b in level(n, p, v, j):
+            yield a + c, p, b
 
 
 @lru_cache(maxsize=1 << 16)
-def _ds_entries(I: Interval, z: Perm, zp: Perm) -> tuple:
-    I.require(z, zp)
-    v = I.v
-    out: DegreeMultiset = Counter()
-    for p in shortcuts(I, z):
-        j = _require_join(I, zp, p)
-        sub = interval(p, v)
-        dp = I.depth_of(p)
-        for b in shortcuts(sub, j):
-            out[(dp + sub.depth_of(b), b)] += 1
+def _double_entries(level, n: int, u: int, v: int, z: int, zp: int) -> tuple:
+    perms = rank_index(n).perms
+    out = Counter((d, perms[b]) for d, _, b in double_expansion(level, n, u, v, z, zp))
     return tuple(sorted(out.items()))
+
+
+def double_multiset(level, I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
+    """The multiset of (degree, b) over the double expansion of (z, z')."""
+    I.require(z, zp)
+    ids = I.index.id
+    return Counter(dict(_double_entries(level, I.n, I.uid, I.vid, ids[z], ids[zp])))
 
 
 def ds_multiset(I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
     """The double-shortcut multiset for the ordered pair (z, z')."""
-    return Counter(dict(_ds_entries(I, z, zp)))
+    return double_multiset(shortcut_level, I, z, zp)
 
 
 def ds_symmetric(I: Interval, z: Perm, zp: Perm) -> bool:
@@ -191,17 +207,13 @@ def bologna_chain(I: Interval, z: Perm, zp: Perm) -> list[QPoly]:
     """The seven successive expressions of the double-expansion identity:
     starting from R-tilde(u, v), expand through z, through the joins of z'
     with the z-shortcuts, through both multisets, and back through z'."""
+    I.require(z, zp)
     u, v = I.u, I.v
+    n, vid, ids = I.n, I.vid, I.index.id
 
     def double(w: Perm, wp: Perm) -> QPoly:
-        total: QPoly = ZERO
-        for p in shortcuts(I, w):
-            j = _require_join(I, wp, p)
-            sub = interval(p, v)
-            dp = I.depth_of(p)
-            for b in shortcuts(sub, j):
-                total = padd(total, pshift(rtilde(b, v), dp + sub.depth_of(b)))
-        return total
+        walk = double_expansion(shortcut_level, n, I.uid, vid, ids[w], ids[wp])
+        return _rtilde_sum(n, vid, ((d, b) for d, _, b in walk))
 
     def from_multiset(ms: DegreeMultiset) -> QPoly:
         total: QPoly = ZERO
@@ -278,14 +290,11 @@ def verify_product(
     checked in both directions, and DS symmetry of the pair in the product is
     required whenever it holds componentwise.
     """
-    n1 = I1.n
     U = direct_sum(I1.u, I2.u)
     V = direct_sum(I1.v, I2.v)
     P = interval(U, V)
     records: list[dict] = []
     if pairs is None:
-        from .hcd import standard_hcds
-
         zs1 = standard_hcds(I1)
         zs2 = standard_hcds(I2)
         pairs = [
@@ -328,9 +337,9 @@ def verify_product(
             problems.append("z-shortcuts do not factor")
         if not _product_shortcuts_match(P, I1, I2, zp, (zp1, zp2)):
             problems.append("z'-shortcuts do not factor")
-        if not problems and not _product_inner_shortcuts_match(P, n1, z, zp, (zp1, zp2), I1, I2):
+        if not problems and not _product_inner_shortcuts_match(P, I1, I2, (z1, z2), (zp1, zp2)):
             problems.append("inner shortcuts do not factor")
-        if not problems and not _product_inner_shortcuts_match(P, n1, zp, z, (z1, z2), I1, I2):
+        if not problems and not _product_inner_shortcuts_match(P, I1, I2, (zp1, zp2), (z1, z2)):
             problems.append("reverse inner shortcuts do not factor")
         if not problems and not ds_symmetric(P, z, zp):
             problems.append("DS symmetry does not transfer")
@@ -349,27 +358,22 @@ def _product_shortcuts_match(P, I1, I2, z, zparts) -> bool:
     return shortcuts(P, z) == expected
 
 
-def _product_inner_shortcuts_match(P, n1, z, zp, zp_parts, I1, I2) -> bool:
-    """For every product shortcut p, the shortcuts of [p, V] with respect to
-    the join of z' and p equal the block sums of the component versions."""
-    V = P.v
-    for p in shortcuts(P, z):
-        parts = split_direct_sum(p, n1)
-        if parts is None:
-            return False
-        p1, p2 = parts
-        j = _require_join(P, zp, p)
-        sub = interval(p, V)
-        got = shortcuts(sub, j)
-        s1 = interval(p1, I1.v)
-        s2 = interval(p2, I2.v)
-        j1 = _require_join(I1, zp_parts[0], p1)
-        j2 = _require_join(I2, zp_parts[1], p2)
-        expected = {
-            direct_sum(b1, b2)
-            for b1 in shortcuts(s1, j1)
-            for b2 in shortcuts(s2, j2)
-        }
-        if got != expected:
-            return False
-    return True
+def _expansion_pairs(I: Interval, z: Perm, zp: Perm) -> set[tuple[Perm, Perm]]:
+    """The (p, b) of the double expansion of (z, z') over shortcuts."""
+    ids, perms = I.index.id, I.index.perms
+    walk = double_expansion(shortcut_level, I.n, I.uid, I.vid, ids[z], ids[zp])
+    return {(perms[p], perms[b]) for _, p, b in walk}
+
+
+def _product_inner_shortcuts_match(P, I1, I2, zs, zps) -> bool:
+    """The (p, b) pairs of the product's double expansion of (z, z') are the
+    block sums of the factors' pairs.  This runs only after the z-shortcuts
+    of the product are found to be the block sums of the factors' ones, so
+    both sides group their pairs by the same p, and it says that for every
+    p the shortcuts of [p, V] for the join of z' and p factor."""
+    pairs1 = _expansion_pairs(I1, zs[0], zps[0])
+    pairs2 = _expansion_pairs(I2, zs[1], zps[1])
+    expected = {
+        (direct_sum(p1, p2), direct_sum(b1, b2)) for p1, b1 in pairs1 for p2, b2 in pairs2
+    }
+    return _expansion_pairs(P, direct_sum(*zs), direct_sum(*zps)) == expected

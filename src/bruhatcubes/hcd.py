@@ -18,7 +18,11 @@ Inside an interval, up-sets, arrows, joins and shortcuts are read from the
 rank index (see :mod:`bruhatcubes.interval`): [z, v] is a mask over
 permutation ids, a join is the lowest set bit of an intersection checked
 against its own up-set, and shortcuts read the geodesic masks of the
-bottom, shared by every interval with that bottom.
+bottom, shared by every interval with that bottom.  The shortcut level
+``shortcut_level(n, u, v, z)`` is ((d(u, p), p), ...) over the shortcuts p,
+by id: one of the two levels that the double expansion of
+:mod:`bruhatcubes.doubles` walks.  It is memoized for unmemoized callers;
+the memoized kernels call the plain ``_shortcut_level``.
 
 The four predicates of the sweep run on permutation ids.  The kernels
 ``_upper_hcd``, ``_amazing``, ``_r_element`` and ``_amazing_r_element`` take
@@ -307,28 +311,27 @@ def is_amazing(I: Interval, z: Perm) -> bool:
 # shortcuts and R-elements
 
 
-def _shortcut_ids(index: RankIndex, u: int, v: int, zv: int) -> list[int]:
-    """The shortcuts p in ``zv``, the mask of [z, v] in [u, v]: the p whose
-    geodesic mask from u meets [z, v] in p alone."""
-    geo = index.distances(u, v)[1]
-    return [p for p in bits(zv) if geo[p] & zv == 1 << p]
+def _shortcut_level(n: int, u: int, v: int, z: int) -> tuple[tuple[int, int], ...]:
+    """The shortcut level of [u, v] for z, by id: (d(u, p), p) for every p
+    in [z, v] whose geodesic mask from u meets [z, v] in p alone, in id
+    order."""
+    index, _, zv = _masks(n, u, v, z)
+    depth, geo = index.distances(u, v)
+    return tuple((depth[p], p) for p in bits(zv) if geo[p] & zv == 1 << p)
 
 
-@lru_cache(maxsize=1 << 18)
+# for unmemoized callers: in a memoized kernel this memo would duplicate its own
+shortcut_level = lru_cache(maxsize=1 << 18)(_shortcut_level)
+
+
 def shortcuts(I: Interval, z: Perm) -> frozenset[Perm]:
     """p in [z, v] such that every geodesic from u to p meets [z, v] only
-    at p.
-
-    ``I.geo_mask[p]`` holds the ids on some geodesic from u to p, so p
-    is kept exactly when that mask meets [z, v] in p alone; the
-    path-enumeration form is kept as a test oracle.
-    """
-    I.require(z)
+    at p, read off the shortcut level; the path-enumeration form is kept as
+    a test oracle."""
     perms = I.index.perms
-    return frozenset(perms[p] for p in _shortcut_ids(I.index, I.uid, I.vid, I.upper(z)))
+    return frozenset(perms[p] for _, p in shortcut_level(*_member_key(I, z)))
 
 
-@lru_cache(maxsize=1 << 18)
 def shortcuts_by_cover_distance(I: Interval, z: Perm) -> frozenset[Perm]:
     """Alternative form, valid for upper decompositions: p is kept when
     d(u, p) < d(u, x) for every x in [z, p] at graph distance one from p."""
@@ -342,27 +345,25 @@ def shortcuts_by_cover_distance(I: Interval, z: Perm) -> frozenset[Perm]:
     )
 
 
-def _shortcut_sum(index: RankIndex, u: int, v: int, zv: int) -> QPoly:
-    """Sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p in ``zv``."""
-    depth = index.distances(u, v)[0]
-    perms = index.perms
+def _rtilde_sum(n: int, v: int, terms) -> QPoly:
+    """Sum of q^d R-tilde(b, v) over the pairs of ids (d, b) in ``terms``."""
+    perms = rank_index(n).perms
     top = perms[v]
     total: QPoly = ZERO
-    for p in _shortcut_ids(index, u, v, zv):
-        total = padd(total, pshift(rtilde(perms[p], top), depth[p]))
+    for d, b in terms:
+        total = padd(total, pshift(rtilde(perms[b], top), d))
     return total
 
 
 def rtilde_z(I: Interval, z: Perm) -> QPoly:
     """Sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p for z."""
-    I.require(z)
-    return _shortcut_sum(I.index, I.uid, I.vid, I.upper(z))
+    return _rtilde_sum(I.n, I.vid, shortcut_level(*_member_key(I, z)))
 
 
 @lru_cache(maxsize=1 << 18)
 def _r_element(n: int, u: int, v: int, z: int) -> bool:
-    index, _, zv = _masks(n, u, v, z)
-    return _shortcut_sum(index, u, v, zv) == rtilde(index.perms[u], index.perms[v])
+    perms = rank_index(n).perms
+    return _rtilde_sum(n, v, _shortcut_level(n, u, v, z)) == rtilde(perms[u], perms[v])
 
 
 def is_r_element(I: Interval, z: Perm) -> bool:
@@ -383,7 +384,6 @@ def is_amazing_r_element(I: Interval, z: Perm) -> bool:
     return _amazing_r_element(*_member_key(I, z))
 
 
-@lru_cache(maxsize=1 << 16)
 def enumerate_hcds(I: Interval, amazing_only: bool = False) -> tuple[Perm, ...]:
     """Every z in the interval passing the decomposition predicate, in
     element order."""

@@ -35,8 +35,8 @@ and ``dist`` are thin reads of the index and those tables, built on first
 use for ``inspect --edges``, ``distance``, ``geodesics`` and the tests.
 
 Intervals are immutable once built and hash/compare by (u, v), so they can be
-shared freely and used as cache keys.  Use the module-level :func:`interval`
-factory to get memoized instances.
+shared freely.  Use the module-level :func:`interval` factory to get memoized
+instances; no other memo is keyed on an interval.
 """
 
 from __future__ import annotations
@@ -318,10 +318,6 @@ class Interval:
             table[x] = {perms[p]: depth[p] for p in bits(index.up[i] & mask)}
         return table
 
-    def depth_of(self, x: Perm) -> int:
-        """d(u, x), from the bottom's table."""
-        return self.depth[self.index.id[x]]
-
     def distance(self, x: Perm, y: Perm) -> int | None:
         """Directed-path distance, or None when y is unreachable from x."""
         self.require(x, y)
@@ -400,9 +396,11 @@ def dual_element(x: Perm) -> Perm:
     return tuple(reversed(x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 9)
 def interval(u: Perm, v: Perm) -> Interval:
-    """Memoized interval factory; repeated calls share one instance."""
+    """Memoized interval factory: repeated calls share one instance while it
+    is among the 512 most recent, room for the 361 product intervals of rank
+    6 and their 19 factors, so a long sweep holds a bounded number."""
     return Interval(u, v)
 
 

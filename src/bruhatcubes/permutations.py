@@ -251,14 +251,6 @@ def direct_sum(a: Perm, b: Perm) -> Perm:
     return a + tuple(val + k for val in b)
 
 
-def split_direct_sum(x: Perm, n1: int) -> tuple[Perm, Perm] | None:
-    """Inverse of :func:`direct_sum` when x preserves the block {1..n1}."""
-    left = x[:n1]
-    if sorted(left) != list(range(1, n1 + 1)):
-        return None
-    return left, tuple(val - n1 for val in x[n1:])
-
-
 def root(t: Reflection, n: int) -> tuple[int, ...]:
     """The integer vector e_i - e_j attached to the reflection (i, j)."""
     vec = [0] * n

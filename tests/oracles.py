@@ -268,6 +268,21 @@ def ds_multiset_brute(
     return out
 
 
+def dh_multiset_brute(
+    members: set[Perm], u: Perm, v: Perm, z: Perm, zp: Perm
+) -> dict[tuple[int, Perm], int]:
+    """Double-hypercube multiset computed entirely from the brute oracles."""
+    out: dict[tuple[int, Perm], int] = {}
+    for r1, p in antichain_hypercubes_brute(members, u, v, z):
+        j = join_brute(members, zp, p)
+        assert j is not None
+        sub = {x for x in members if subword_leq(p, x)}
+        for r2, b in antichain_hypercubes_brute(sub, p, v, j):
+            key = (r1 + r2, b)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
 def rtilde_brute_by_hand_s3() -> dict[tuple[Perm, Perm], tuple[int, ...]]:
     """Hand-unfolded recurrence values for the rank-3 worked instance."""
     return {

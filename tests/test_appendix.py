@@ -1,3 +1,8 @@
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bruhatcubes.appendix import (
     antichain_hypercubes,
     coatom_precedence_constraints,
@@ -20,6 +25,9 @@ from bruhatcubes.permutations import (
     incomparable,
     longest_element,
 )
+
+from oracles import antichain_hypercubes_brute, dh_multiset_brute, interval_elements_brute
+from strategies import comparable_pair
 
 E3 = identity(3)
 W3 = longest_element(3)
@@ -146,6 +154,29 @@ def test_dh_equals_ds_where_projection_bijects_s4():
                 assert dh_multiset(I, z, zp) == ds_multiset(I, z, zp), (u, v, z, zp)
                 agreements += 1
     assert agreements > 1000
+
+
+@given(pair=comparable_pair(max_size=24), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_antichain_hypercubes_match_brute_force_s5_s6(pair, data):
+    u, v = pair
+    members = interval_elements_brute(u, v)
+    I = interval(u, v)
+    z = data.draw(st.sampled_from(sorted(members)), label="z")
+    got = sorted((emb.rank, p) for emb, p in antichain_hypercubes(I, z))
+    assert got == sorted(antichain_hypercubes_brute(members, u, v, z))
+
+
+@given(pair=comparable_pair(max_size=24), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_dh_multiset_matches_brute_force_s5_s6(pair, data):
+    u, v = pair
+    members = interval_elements_brute(u, v)
+    I = interval(u, v)
+    amazing = enumerate_hcds(I, amazing_only=True)
+    z = data.draw(st.sampled_from(amazing), label="z")
+    zp = data.draw(st.sampled_from(amazing), label="z2")
+    assert dh_multiset(I, z, zp) == Counter(dh_multiset_brute(members, u, v, z, zp))
 
 
 def test_hypercube_rank_matches_distance_report():

@@ -282,6 +282,18 @@ def test_record_spelled_otherwise_is_refused(tmp_path):
         assert path.read_text().splitlines()[1:] == [RECORD_231]
 
 
+def test_record_rank_must_match_its_windows(tmp_path):
+    # valid crcs, but n is not the length of both windows
+    path = tmp_path / "poly.jsonl"
+    for record in (
+        {"n": 9, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]},
+        {"n": 3, "u": "123", "v": "3214", "coeffs": [0, 1, 0, 1]},
+    ):
+        _write_cache(path, [RECORD_231, _checked(record), ""])
+        with pytest.raises(CacheError, match="rank n does not match"):
+            PolyCache(str(path))
+
+
 def test_unnormalized_coefficients_are_refused(tmp_path):
     path = tmp_path / "poly.jsonl"
     record = {"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1, 0]}

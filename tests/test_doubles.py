@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruhatcubes.appendix import dh_multiset
 from bruhatcubes.doubles import (
     bologna_chain,
     ds_multiset,
@@ -207,3 +208,20 @@ def test_ds_multiset_matches_brute_force_s5_s6(pair, data):
     z = data.draw(st.sampled_from(amazing), label="z")
     zp = data.draw(st.sampled_from(amazing), label="z2")
     assert ds_multiset(I, z, zp) == Counter(ds_multiset_brute(members, u, v, z, zp))
+
+
+def test_double_expansions_build_no_sub_intervals(built_intervals):
+    # [p, v] is read as a pair of ids: only the arguments and the product
+    # interval are built
+    e, w0 = identity(4), longest_element(4)
+    I = interval(e, w0)
+    amazing = enumerate_hcds(I, amazing_only=True)
+    for z in amazing:
+        for zp in amazing:
+            assert ds_multiset(I, z, zp) == dh_multiset(I, z, zp)
+            if z != zp:
+                assert verify_bologna(I, z, zp)["status"] == "PASS"
+    factors = interval(E3, W3), interval((1, 2), (2, 1))
+    assert {rec["status"] for rec in verify_product(*factors)} == {"PASS"}
+    product = ((1, 2, 3, 4, 5), (3, 2, 1, 5, 4))
+    assert built_intervals == [(e, w0), (E3, W3), ((1, 2), (2, 1)), product]

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import itertools
 import random
@@ -322,7 +323,7 @@ def test_bottom_distances_and_geodesic_masks_match_oracles_s4():
         members = set(I.elements)
         for x in I.elements:
             geodesics = geodesics_brute(members, u, x)
-            assert I.depth[ids[x]] == I.depth_of(x) == I.dist[u][x] == len(geodesics[0]) - 1
+            assert I.depth[ids[x]] == I.dist[u][x] == len(geodesics[0]) - 1
             on_geodesics = {w for path in geodesics for w in path}
             assert set(I.members(I.geo_mask[ids[x]])) == on_geodesics, (u, v, x)
             # every path from x stays above x, so the oracle searches that cone
@@ -392,3 +393,21 @@ def test_diamond_completeness_matches_oracle_s5_s6(pair):
     I = interval(u, v)
     for z in sorted(members):
         assert I.is_diamond_complete(z) == is_diamond_complete_brute(members, z), z
+
+
+def test_interval_factory_holds_a_bounded_number_along_a_sweep(capsys):
+    from bruhatcubes.cli import main
+
+    def live() -> int:
+        gc.collect()
+        return sum(isinstance(x, Interval) for x in gc.get_objects())
+
+    interval.cache_clear()
+    before = live()
+    argv = ["verify", "--n", "5", "--checks", "dyer", "--mode", "exhaustive", "--no-cache"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    bound = interval.cache_info().maxsize
+    # room for the 361 product intervals of rank 6 and their 19 factors
+    assert bound is not None and bound >= 361 + 19
+    assert live() - before <= bound

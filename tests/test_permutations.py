@@ -25,7 +25,6 @@ from bruhatcubes.permutations import (
     right_descents,
     right_multiply_reflection,
     root,
-    split_direct_sum,
 )
 
 from oracles import interval_elements_brute, subword_leq, tableau_leq
@@ -144,8 +143,6 @@ def test_reflection_always_comparable_s4():
 def test_direct_sum_examples():
     assert direct_sum((2, 1), (2, 1)) == (2, 1, 4, 3)
     assert direct_sum((1, 2, 3), (2, 1)) == (1, 2, 3, 5, 4)
-    assert split_direct_sum((2, 1, 4, 3), 2) == ((2, 1), (2, 1))
-    assert split_direct_sum((3, 1, 4, 2), 2) is None
 
 
 def test_direct_sum_interval_size():
