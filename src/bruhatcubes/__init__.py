@@ -54,7 +54,6 @@ from .doubles import (
     verify_congettura,
     verify_em0,
     verify_product,
-    verify_strong_ds,
     verify_strong_ds_pair,
 )
 from .appendix import (

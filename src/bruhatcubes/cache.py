@@ -8,9 +8,9 @@ by one record per entry, e.g.::
 ``crc`` is the ``zlib.crc32`` of the record's own text up to the comma before
 ``"crc"``, so an edited record fails its check on load instead of silently
 changing results.  It detects edits and damage, not forgeries: anyone who
-edits a record can recompute its crc.  Files of version 1, whose records have
-no crc, still load, unchecked, and are appended to in their own format.  The
-header's ``cache_version`` is an integer (not ``true``, not ``2.0``).
+edits a record can recompute its crc.  A header other than the integer 2,
+including the crc-less version 1 of earlier releases, is refused: delete such
+a file and it is rebuilt.
 
 A record must be spelled exactly as ``PolyCache.put`` writes it: these keys
 in this order, ``", "`` and ``": "`` as separators, numbers as digits without
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import zlib
 
 from .errors import CacheError
@@ -42,31 +41,24 @@ from .permutations import Perm, format_perm, parse_perm
 from .polynomials import QPoly
 
 CACHE_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 ENV_VAR = "BRUHAT_CACHE"
 
 _NUM = rb"(?:[1-9][0-9]*|0)"
 # one record exactly as ``put`` spells it; group 1 is the text its crc covers,
 # then the rank, the windows u and v, the coefficient list and the crc
-# (version 2 only)
 _RECORD = re.compile(
     rb'(\{"n": (%s), "u": "([0-9,]+)", "v": "([0-9,]+)", "coeffs": \[((?:%s(?:, %s)*)?)\])'
-    rb'(?:, "crc": (%s))?\}' % (_NUM, _NUM, _NUM, _NUM)
+    rb', "crc": (%s)\}' % (_NUM, _NUM, _NUM, _NUM)
 )
 
 
 class PolyCache:
-    """Dict-backed polynomial memo, optionally mirrored to a JSON-lines file.
-
-    Reads are plain dict lookups; writes are serialized by a lock.
-    """
+    """Dict-backed polynomial memo, optionally mirrored to a JSON-lines file."""
 
     def __init__(self, path: str | None = None):
         self._memo: dict[tuple[Perm, Perm], QPoly] = {}
-        self._lock = threading.Lock()
         self._path = path
         self._fh = None
-        self._version = CACHE_VERSION
         if path is not None:
             self._open(path)
 
@@ -88,12 +80,11 @@ class PolyCache:
         with open(path, "rb") as fh:
             line = fh.readline()
             try:
-                version = self._version = json.loads(line).get("cache_version")
+                version = json.loads(line).get("cache_version")
             except (ValueError, AttributeError) as exc:
                 raise CacheError(f"{path}: bad cache header") from exc
-            if type(version) is not int or version not in READABLE_VERSIONS:
+            if type(version) is not int or version != CACHE_VERSION:
                 raise CacheError(f"{path}: unsupported cache_version {version!r}")
-            checked = version >= 2
             # each distinct window and coefficient list is parsed once per load,
             # so equal polynomials share one tuple
             windows = _Parsed(_window)
@@ -107,9 +98,9 @@ class PolyCache:
                     continue
                 m = match(record)
                 try:
-                    if m is None or (m[6] is None) == checked:
+                    if m is None:
                         raise ValueError("not spelled as the cache writes records")
-                    if checked and crc32(m[1]) != int(m[6]):
+                    if crc32(m[1]) != int(m[6]):
                         raise ValueError("checksum mismatch")
                     u, v = windows[m[3]], windows[m[4]]
                     if not len(u) == len(v) == int(m[2]):
@@ -136,19 +127,15 @@ class PolyCache:
         return self._memo.get((u, v))
 
     def put(self, u: Perm, v: Perm, poly: QPoly) -> None:
-        with self._lock:
-            if (u, v) in self._memo:
-                return
-            self._memo[(u, v)] = poly
-            if self._fh is not None:
-                body = (
-                    f'{{"n": {len(u)}, "u": "{format_perm(u)}", "v": "{format_perm(v)}", '
-                    f'"coeffs": [{", ".join(map(str, poly))}]'
-                ).encode()
-                if self._version >= 2:
-                    self._write(body + b', "crc": %d}\n' % zlib.crc32(body))
-                else:
-                    self._write(body + b"}\n")
+        if (u, v) in self._memo:
+            return
+        self._memo[(u, v)] = poly
+        if self._fh is not None:
+            body = (
+                f'{{"n": {len(u)}, "u": "{format_perm(u)}", "v": "{format_perm(v)}", '
+                f'"coeffs": [{", ".join(map(str, poly))}]'
+            ).encode()
+            self._write(body + b', "crc": %d}\n' % zlib.crc32(body))
 
     def _write(self, data: bytes) -> None:
         """Hand ``data`` to the OS in one unbuffered write; a short write is
@@ -159,10 +146,9 @@ class PolyCache:
             raise OSError(f"{self._path}: wrote {written} of {len(data)} bytes")
 
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 class _Parsed(dict):

@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-interval-size", type=int)
     p.add_argument("--timings", action="store_true", help="include per-record timings (breaks byte-identical reports)")
-    p.add_argument("--threads", type=int, default=1, metavar="K")
     _common(p)
     return parser
 
@@ -242,7 +241,6 @@ def cmd_verify(args, fh) -> int:
         sample_size=args.sample_size,
         seed=args.seed,
         max_interval_size=max_size,
-        threads=args.threads,
         timings=args.timings,
     )
     header, records, code = run_sweep(cfg)

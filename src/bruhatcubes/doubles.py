@@ -169,21 +169,6 @@ def verify_strong_ds_pair(I: Interval, z: Perm, zp: Perm) -> dict:
     return rec
 
 
-def verify_strong_ds(I: Interval) -> dict:
-    """DS symmetry across every amazing pair of one interval; the first
-    asymmetric pair is the witness."""
-    amazing = enumerate_hcds(I, amazing_only=True)
-    pairs = 0
-    for i, z in enumerate(amazing):
-        for zp in amazing[i + 1 :]:
-            pairs += 1
-            if not ds_symmetric(I, z, zp):
-                rec = verify_strong_ds_pair(I, z, zp)
-                rec["pairs"] = pairs
-                return rec
-    return _record("strong-ds", I, "PASS", pairs=pairs)
-
-
 def verify_em0(I: Interval) -> dict:
     """The symmetry relation should have a single class (conjecture).
 
@@ -290,9 +275,7 @@ def verify_product(
     checked in both directions, and DS symmetry of the pair in the product is
     required whenever it holds componentwise.
     """
-    U = direct_sum(I1.u, I2.u)
-    V = direct_sum(I1.v, I2.v)
-    P = interval(U, V)
+    P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
     records: list[dict] = []
     if pairs is None:
         zs1 = standard_hcds(I1)
@@ -304,32 +287,29 @@ def verify_product(
             for b1 in zs1
             for b2 in zs2
         ]
+    factors = [
+        [format_perm(I1.u), format_perm(I1.v)],
+        [format_perm(I2.u), format_perm(I2.v)],
+    ]
     for (z1, z2), (zp1, zp2) in pairs:
-        base = {
-            "check": "product",
-            "n": P.n,
-            "u": format_perm(U),
-            "v": format_perm(V),
-            "factors": [
-                [format_perm(I1.u), format_perm(I1.v)],
-                [format_perm(I2.u), format_perm(I2.v)],
-            ],
-            "z": format_perm(direct_sum(z1, z2)),
-            "z2": format_perm(direct_sum(zp1, zp2)),
-        }
+        z = direct_sum(z1, z2)
+        zp = direct_sum(zp1, zp2)
+        fields = {"factors": factors, "z": format_perm(z), "z2": format_perm(zp)}
         if not (
             is_amazing(I1, z1)
             and is_amazing(I2, z2)
             and is_amazing(I1, zp1)
             and is_amazing(I2, zp2)
         ):
-            records.append({**base, "status": "SKIP", "reason": "components not amazing"})
+            records.append(
+                _record("product", P, "SKIP", reason="components not amazing", **fields)
+            )
             continue
         if not (ds_symmetric(I1, z1, zp1) and ds_symmetric(I2, z2, zp2)):
-            records.append({**base, "status": "SKIP", "reason": "component DS not symmetric"})
+            records.append(
+                _record("product", P, "SKIP", reason="component DS not symmetric", **fields)
+            )
             continue
-        z = direct_sum(z1, z2)
-        zp = direct_sum(zp1, zp2)
         problems: list[str] = []
         if not (is_amazing(P, z) and is_amazing(P, zp)):
             problems.append("block sums not amazing in the product")
@@ -344,9 +324,9 @@ def verify_product(
         if not problems and not ds_symmetric(P, z, zp):
             problems.append("DS symmetry does not transfer")
         if problems:
-            records.append({**base, "status": "FAIL", "witness": "; ".join(problems)})
+            records.append(_record("product", P, "FAIL", witness="; ".join(problems), **fields))
         else:
-            records.append({**base, "status": "PASS"})
+            records.append(_record("product", P, "PASS", **fields))
     return records
 
 

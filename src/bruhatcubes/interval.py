@@ -116,13 +116,11 @@ class RankIndex:
 
         Each call extends them over the part of [u, v] not yet covered, in
         id order: the sources of the arrows into p within [u, p] have
-        smaller ids and are settled first.  The covered mask grows only after
-        its entries are written, and concurrent extensions write the same
-        values, so threads may share the tables.
+        smaller ids and are settled first.
         """
         entry = self._bottoms.get(u)
         if entry is None:
-            entry = self._bottoms.setdefault(u, [1 << u, {u: 0}, {u: 1 << u}])
+            entry = self._bottoms[u] = [1 << u, {u: 0}, {u: 1 << u}]
         covered, depth, geo = entry
         cone = self.up[u]
         todo = cone & self.down[v] & ~covered

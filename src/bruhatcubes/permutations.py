@@ -126,12 +126,6 @@ def reflections(n: int) -> list[Reflection]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
-def simple_reflection(n: int, i: int) -> Perm:
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def right_multiply_reflection(x: Perm, t: Reflection) -> Perm:
     """``x * t``: the window of x with positions t = (i, j) swapped."""
     i, j = t

@@ -58,6 +58,7 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
     largest right descent s of v:  the (us, vs) branch, plus q times the
     (u, vs) branch when s is not a descent of u.  The descent choice is
     irrelevant mathematically; taking the largest keeps cache keys stable.
+    A zero is not memoized: one comparison decides it again.
     """
     memo = _cache
     known = memo.get(u, v)
@@ -66,7 +67,7 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
     if u == v:
         poly: QPoly = ONE
     elif not bruhat_leq(u, v):
-        poly = ZERO
+        return ZERO
     else:
         i = len(v) - 1  # the last descent of v; v > u, so it has one
         while v[i - 1] < v[i]:

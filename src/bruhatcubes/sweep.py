@@ -3,8 +3,8 @@ dispatch, and deterministic report assembly.
 
 A sweep runs a set of named checks over every comparable pair of one rank
 (exhaustive mode) or over a seeded uniform sample of pairs (sample mode).
-Records are emitted in task order regardless of worker scheduling, so a
-report body is a pure function of the configuration.
+Records are emitted in pair order, so a report body is a pure function of
+the configuration.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import hashlib
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .appendix import (
     is_cosimple,
@@ -51,8 +51,8 @@ ALL_CHECKS = (
 )
 
 # exhaustive sweeps stay cheap only up to these ranks
-_EXHAUSTIVE_LIMIT = {"dyer": 5, "standard-hcd": 5}
-_EXHAUSTIVE_DEFAULT_LIMIT = 4
+_EXHAUSTIVE_LIMIT = {"dyer": 6, "standard-hcd": 6, "lemma-paths": 4}
+_EXHAUSTIVE_DEFAULT_LIMIT = 5
 
 CONVENTIONS = {
     "edge_direction": "x->y iff y=x*t with increasing length; label t=x^{-1}y",
@@ -69,8 +69,9 @@ class SweepConfig:
     sample_size: int = 50
     seed: int | None = None
     max_interval_size: int | None = None
-    threads: int = 1
     timings: bool = False
+    # sweeps run serially; perfbench/tracer.py reads this as the worker count
+    threads: ClassVar[int] = 1
 
     def fingerprint(self) -> dict:
         return {
@@ -120,8 +121,6 @@ def validate_config(cfg: SweepConfig) -> None:
                 raise ConfigError(
                     f"exhaustive {check} is limited to rank {limit}; use sample mode"
                 )
-    if cfg.threads < 1:
-        raise ConfigError("thread count must be positive")
 
 
 def sample_pairs(
@@ -317,30 +316,18 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
         "fp": digest,
     }
     interval_checks = [c for c in cfg.checks if c in _CHECK_FUNCS]
-
-    def run_pair(pair: tuple[Perm, Perm]) -> list[dict]:
-        I = interval(*pair)
-        records: list[dict] = []
-        for name in interval_checks:
-            start = time.perf_counter()
-            recs = _CHECK_FUNCS[name](I, cfg)
-            if cfg.timings:
-                ms = int((time.perf_counter() - start) * 1000)
-                for rec in recs:
-                    rec["ms"] = ms
-            records.extend(recs)
-        return records
-
     records: list[dict] = []
     if interval_checks:
-        pairs = sweep_pairs(cfg)
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                for recs in pool.map(run_pair, pairs):
-                    records.extend(recs)
-        else:
-            for pair in pairs:
-                records.extend(run_pair(pair))
+        for pair in sweep_pairs(cfg):
+            I = interval(*pair)
+            for name in interval_checks:
+                start = time.perf_counter()
+                recs = _CHECK_FUNCS[name](I, cfg)
+                if cfg.timings:
+                    ms = int((time.perf_counter() - start) * 1000)
+                    for rec in recs:
+                        rec["ms"] = ms
+                records.extend(recs)
     if "product" in cfg.checks:
         records.extend(product_records(cfg))
     for rec in records:

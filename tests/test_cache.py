@@ -62,13 +62,14 @@ def _cache_every_pair(path, n: int) -> PolyCache:
 
 
 def test_s4_cache_file_bytes_are_pinned(tmp_path):
-    # the records, their order and their spelling are all pinned
+    # the records, their order and their spelling are all pinned; a pair
+    # u !<= v is decided by one comparison and writes no record
     path = tmp_path / "poly.jsonl"
     _cache_every_pair(path, 4)
     data = path.read_bytes()
-    assert len(data) == 40515
+    assert len(data) == 15928
     assert hashlib.sha256(data).hexdigest() == (
-        "136b3b87c8d77e1f19653eca1efadf2aa2bcd74e27d5b4a63e81983e8d1d1b93"
+        "4d3ae6f7a828bda68aa278e4c265eabd649affd88964ca58f13f037eb839c570"
     )
 
 
@@ -77,14 +78,14 @@ def test_s5_cache_file_bytes_are_pinned_and_reload_shared(tmp_path):
     path = tmp_path / "poly.jsonl"
     installed = _cache_every_pair(path, 5)
     data = path.read_bytes()
-    assert len(data) == 1044930
+    assert len(data) == 304399
     assert hashlib.sha256(data).hexdigest() == (
-        "e0f320f34fb03eab75fbf234235eb29d4ed8bad8646ee9cf97874f163f6c9979"
+        "ca599faa7a05c80e8ac5210d6b96e878eb5e8c0c9dc9d5463425dad4f91533b5"
     )
     reloaded = PolyCache(str(path))
     reloaded.close()
     s5 = list(all_perms(5))
-    assert len(reloaded) == len(installed) == len(s5) ** 2
+    assert len(reloaded) == len(installed) == 3781  # the comparable pairs
     polys = [reloaded.get(u, v) for u in s5 for v in s5]
     assert polys == [installed.get(u, v) for u in s5 for v in s5]
     assert len({id(p) for p in polys}) == len(set(polys))
@@ -98,8 +99,9 @@ def test_file_cache_rejects_bad_header(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(CacheError):
         PolyCache(str(path))
-    # the version is an int: true would read as 1 and drop every later crc
-    for version in ("true", "2.0", '"2"'):
+    # the version is the int 2: version 1, whose records carry no crc, is
+    # refused like any other
+    for version in ("1", "true", "2.0", '"2"'):
         header = f'{{"cache_version": {version}}}\n'
         path.write_text(header)
         with pytest.raises(CacheError, match="cache_version"):
@@ -147,8 +149,8 @@ def test_warm_cache_changes_no_results(tmp_path):
     assert cold_code == warm_code == memory_code == 0
 
 
-def _write_cache(path, lines, version=CACHE_VERSION):
-    header = json.dumps({"cache_version": version})
+def _write_cache(path, lines):
+    header = json.dumps({"cache_version": CACHE_VERSION})
     path.write_text("\n".join([header, *lines]))
 
 
@@ -236,19 +238,17 @@ def test_whole_unterminated_last_record_is_kept_and_ended(tmp_path):
     reloaded.close()
 
 
-def test_version_1_file_loads_unchecked_and_stays_version_1(tmp_path):
+def test_zero_records_of_older_files_still_load(tmp_path):
+    # files written before zeros stopped being stored hold such records
     path = tmp_path / "poly.jsonl"
-    v1_231 = json.dumps({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
-    v1_321 = json.dumps({"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]})
-    _write_cache(path, [v1_231, ""], version=1)
-    memo = PolyCache(str(path))
-    assert memo.get((1, 2, 3), (2, 3, 1)) == (0, 0, 1)
-    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
-    memo.close()
-    assert path.read_text().splitlines() == ['{"cache_version": 1}', v1_231, v1_321]
-    reloaded = PolyCache(str(path))
-    assert reloaded.get((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
-    reloaded.close()
+    zero = _checked({"n": 3, "u": "321", "v": "123", "coeffs": []})
+    _write_cache(path, [zero, RECORD_321, ""])
+    old = set_cache(PolyCache(str(path)))
+    try:
+        assert len(get_cache()) == 2
+        assert rtilde((3, 2, 1), (1, 2, 3)) == ()
+    finally:
+        set_cache(old).close()
 
 
 def test_written_records_carry_their_checksum(tmp_path):
@@ -297,10 +297,9 @@ def test_record_rank_must_match_its_windows(tmp_path):
 def test_unnormalized_coefficients_are_refused(tmp_path):
     path = tmp_path / "poly.jsonl"
     record = {"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1, 0]}
-    for version, line in ((2, _checked(record)), (1, json.dumps(record))):
-        _write_cache(path, [line, ""], version=version)
-        with pytest.raises(CacheError, match="normalized"):
-            PolyCache(str(path))
+    _write_cache(path, [_checked(record), ""])
+    with pytest.raises(CacheError, match="normalized"):
+        PolyCache(str(path))
 
 
 def test_crlf_line_ends_still_load(tmp_path):

@@ -17,7 +17,6 @@ from bruhatcubes.doubles import (
     verify_congettura,
     verify_em0,
     verify_product,
-    verify_strong_ds,
     verify_strong_ds_pair,
 )
 from bruhatcubes.errors import OrderError
@@ -132,8 +131,6 @@ def test_verify_records_s3():
     assert verify_em0(I3)["status"] == "PASS"
     assert verify_congettura(I3)["status"] == "PASS"
     assert verify_strong_ds_pair(I3, Z, ZP)["status"] == "PASS"
-    assert verify_strong_ds(I3)["status"] == "PASS"
-    assert verify_strong_ds(I3)["pairs"] == 3
     for u, v in comparable_pairs(3):
         I = interval(u, v)
         assert verify_em0(I)["status"] == "PASS"
