@@ -99,9 +99,8 @@ def test_file_cache_rejects_bad_header(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(CacheError):
         PolyCache(str(path))
-    # the version is the int 2: version 1, whose records carry no crc, is
-    # refused like any other
-    for version in ("1", "true", "2.0", '"2"'):
+    # the version is the int 2: true would read as 1
+    for version in ("true", "2.0", '"2"'):
         header = f'{{"cache_version": {version}}}\n'
         path.write_text(header)
         with pytest.raises(CacheError, match="cache_version"):
@@ -236,6 +235,17 @@ def test_whole_unterminated_last_record_is_kept_and_ended(tmp_path):
     reloaded = PolyCache(str(path))
     assert len(reloaded) == 2
     reloaded.close()
+
+
+def test_version_1_file_is_refused_and_left_as_it_was(tmp_path):
+    # version 1 wrote records without a crc; such a file is deleted and rebuilt
+    path = tmp_path / "poly.jsonl"
+    v1_231 = json.dumps({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
+    text = "\n".join([json.dumps({"cache_version": 1}), v1_231, ""])
+    path.write_text(text)
+    with pytest.raises(CacheError, match="cache_version"):
+        PolyCache(str(path))
+    assert path.read_text() == text
 
 
 def test_zero_records_of_older_files_still_load(tmp_path):
