@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .doubles import DegreeMultiset, _record, double_multiset, multiset_entries
+from .doubles import DegreeMultiset, _record, double_multiset, double_symmetric, multiset_entries
 from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcuts, spans_hypercube
 from .interval import Interval, bits
 from .permutations import Perm, format_perm, lower_neighbors, root
@@ -112,7 +112,7 @@ def dh_multiset(I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
 
 
 def dh_symmetric(I: Interval, z: Perm, zp: Perm) -> bool:
-    return dh_multiset(I, z, zp) == dh_multiset(I, zp, z)
+    return double_symmetric(hypercube_level, I, z, zp)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ from .interval import Interval, interval, rank_index
 from .permutations import Perm, direct_sum, format_perm
 from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str
 from .hcd import (
-    _join_ids,
+    _join_id,
     _r_element,
+    _row_holds,
     _rtilde_sum,
     enumerate_hcds,
     is_amazing,
@@ -57,10 +58,8 @@ def double_expansion(level, n: int, u: int, v: int, z: int, zp: int):
     up = index.up
     zv = up[zp] & index.down[v]
     for a, p in level(n, u, v, z):
-        # the lowest bit of the cone is its only candidate minimum; v is in it
-        cone = zv & up[p]
-        j = (cone & -cone).bit_length() - 1
-        if cone & ~up[j]:
+        j = _join_id(up, zv, p)
+        if j < 0:
             x, y = (format_perm(index.perms[k]) for k in (zp, p))
             raise OrderError(f"{x} and {y} have no join; inputs must be amazing decompositions")
         for c, b in level(n, p, v, j):
@@ -86,8 +85,17 @@ def ds_multiset(I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
     return double_multiset(shortcut_level, I, z, zp)
 
 
+def double_symmetric(level, I: Interval, z: Perm, zp: Perm) -> bool:
+    """True iff the double expansions of (z, z') and (z', z) over ``level``
+    give the same multiset: their memoized sorted entries are equal."""
+    I.require(z, zp)
+    n, u, v, ids = I.n, I.uid, I.vid, I.index.id
+    z, zp = ids[z], ids[zp]
+    return _double_entries(level, n, u, v, z, zp) == _double_entries(level, n, u, v, zp, z)
+
+
 def ds_symmetric(I: Interval, z: Perm, zp: Perm) -> bool:
-    return ds_multiset(I, z, zp) == ds_multiset(I, zp, z)
+    return double_symmetric(shortcut_level, I, z, zp)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +239,9 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
             "bologna", I, "SKIP", z=format_perm(z), z2=format_perm(zp), reason="pair not amazing"
         )
     hyp1 = is_amazing_r_element(I, z)
-    # one pass over the row of joins, by id; z' is amazing, so each exists
-    n, u, v = I.n, I.uid, I.vid
-    hyp2 = all(
-        _r_element(n, x, v, k) for x, k in _join_ids(I.index.up, I.mask, I.upper(zp)) if x != u
-    )
+    # the R-element row of (v, z') over [u, v] without u; z' is amazing, so
+    # every join exists
+    hyp2 = _row_holds(_r_element, I.n, I.vid, I.index.id[zp], I.mask & ~(1 << I.uid))
     hyp3 = ds_symmetric(I, z, zp)
     hyps = {"h1": hyp1, "h2": hyp2, "h3": hyp3}
     if not (hyp1 and hyp2 and hyp3):

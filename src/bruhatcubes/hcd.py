@@ -24,14 +24,25 @@ by id: one of the two levels that the double expansion of
 :mod:`bruhatcubes.doubles` walks.  It is memoized for unmemoized callers;
 the memoized kernels call the plain ``_shortcut_level``.
 
-The four predicates of the sweep run on permutation ids.  The kernels
-``_upper_hcd``, ``_amazing``, ``_r_element`` and ``_amazing_r_element`` take
-``(n, u, v, z)``, the rank and the ids of u, v and z, and are memoized on
-those four ints.  Each reads [u, v] as ``up[u] & down[v]`` and a
-sub-interval [x, v] as ``up[x] & down[v]``, so no ``Interval`` is built for
-it.  ``is_upper_hcd``, ``is_amazing``, ``is_r_element`` and
-``is_amazing_r_element`` are unmemoized wrappers: they look up the id of z,
-raise ``OrderError`` when z is not in the interval, and call the kernel.
+The four predicates of the sweep run on permutation ids and take
+``(n, u, v, z)``, the rank and the ids of u, v and z.  ``_upper_hcd`` and
+``_r_element`` are memoized on those four ints; each reads [u, v] as
+``up[u] & down[v]``, so no ``Interval`` is built for a sub-interval.  The
+cluster test that ``_upper_hcd`` makes at each p is memoized on (n, p, the
+mask of the sources); ``spans_cluster`` is its unmemoized form on windows.
+
+``_amazing`` and ``_amazing_r_element`` quantify over every x in [u, v]
+through the join j of z and x.  [z, v] is ``up[z] & down[v]``, so j, and
+the test of x, depend on (x, v, z) alone, not on u.  A row table, one per
+(kernel, n, v, z) and bounded in number, keeps two masks over x: the bits
+evaluated and the bad bits, where j is missing or ``kernel(n, x, v, j)``
+fails.  It grows lazily, like :meth:`RankIndex.distances`.  z is amazing in
+[u, v] exactly when no bit of [u, v] is bad in the ``_upper_hcd`` row, whose
+bit u is ``_upper_hcd(n, u, v, z)`` itself, the join of z and u being z;
+``_amazing_r_element`` adds the ``_r_element`` row.  A known bad bit answers
+at once, and evaluation stops at the first bad bit.  ``is_upper_hcd``,
+``is_amazing``, ``is_r_element`` and ``is_amazing_r_element`` look up the id
+of z, raise ``OrderError`` when z is not in the interval, and call these.
 """
 
 from __future__ import annotations
@@ -169,19 +180,40 @@ def _antichains(items: tuple[Perm, ...]):
     yield from rec(0, ())
 
 
-@lru_cache(maxsize=1 << 17)
-def spans_cluster(top: Perm, sources: frozenset[Perm]) -> bool:
+def spans_cluster(top: Perm, sources: AbstractSet[Perm]) -> bool:
     """True iff every antichain subfamily of the arrows spans a hypercube.
 
     Empty and singleton families always span, so only antichains of two or
     more sources are searched.
     """
-    srcs = tuple(sorted(sources))
-    _check_edge_family(top, srcs)
-    for sub in _antichains(srcs):
-        if len(sub) >= 2 and spans_hypercube(top, sub) is None:
-            return False
-    return True
+    _check_edge_family(top, tuple(sorted(sources)))
+    ids = rank_index(len(top)).id
+    return _cluster(len(top), ids[top], sum(1 << ids[s] for s in set(sources)))
+
+
+@lru_cache(maxsize=1 << 17)
+def _cluster(n: int, p: int, sources: int) -> bool:
+    """:func:`spans_cluster` on ids: the arrows into p from the ids set in
+    ``sources``.  Antichains are taken in the order of ``_antichains`` over
+    the sorted windows, each tested once."""
+    index = rank_index(n)
+    perms, up, down = index.perms, index.up, index.down
+    top = perms[p]
+    srcs = sorted(bits(sources), key=perms.__getitem__)
+
+    def spans(start: int, chosen: tuple[Perm, ...], apart: int) -> bool:
+        # ``apart``: the sources incomparable to every chosen one
+        for i in range(start, len(srcs)):
+            x = srcs[i]
+            if apart >> x & 1:
+                sub = chosen + (perms[x],)
+                if len(sub) >= 2 and spans_hypercube(top, sub) is None:
+                    return False
+                if not spans(i + 1, sub, apart & ~(up[x] | down[x])):
+                    return False
+        return True
+
+    return spans(0, (), sources)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +252,10 @@ def _upper_hcd(n: int, u: int, v: int, z: int) -> bool:
     if not index.diamond_complete(mask, zv):
         return False
     outside = mask & ~zv
-    inn, perms = index.in_mask, index.perms
+    inn = index.in_mask
     for p in bits(zv):
         sources = inn[p] & outside
-        if sources and not spans_cluster(perms[p], frozenset(perms[k] for k in bits(sources))):
+        if sources and not _cluster(n, p, sources):
             return False
     return True
 
@@ -279,26 +311,55 @@ def join(I: Interval, z: Perm, x: Perm) -> Perm | None:
     return _minimum(I, I.upper(z) & I.upper(x))
 
 
-def _join_ids(up: tuple[int, ...], mask: int, zv: int):
-    """(x, id of the join of z and x) for every id x in ``mask``, in id
-    order, given ``zv``, the mask of [z, v]; the join is -1 when there is
-    none.  This is ``Interval.least`` inlined: the cone [z, v] & [x, v]
-    always holds v, so its lowest bit exists."""
-    for x in bits(mask):
-        cone = zv & up[x]
-        k = (cone & -cone).bit_length() - 1
-        yield x, -1 if cone & ~up[k] else k
+def _join_id(up: tuple[int, ...], zv: int, x: int) -> int:
+    """Id of the join of z and x, given ``zv``, the mask of [z, v], or -1
+    when there is none.  This is ``Interval.least`` inlined: the cone
+    [z, v] & [x, v] always holds v, so its lowest bit exists."""
+    cone = zv & up[x]
+    k = (cone & -cone).bit_length() - 1
+    return -1 if cone & ~up[k] else k
 
 
-@lru_cache(maxsize=1 << 17)
-def _amazing(n: int, u: int, v: int, z: int) -> bool:
-    if not _upper_hcd(n, u, v, z):
+@lru_cache(maxsize=1 << 13)
+def _row(kernel, n: int, v: int, z: int) -> list[int]:
+    """The row of ``kernel`` for (v, z): [covered, bad], two masks over x.
+    A bit x of ``covered`` has been evaluated; it is set in ``bad`` when the
+    join j of z and x is missing or ``kernel(n, x, v, j)`` fails.  Evaluation
+    stops at a bad bit, so ``bad`` is mostly 0.  The 8,192 most recent rows
+    are kept: a long sampled S6 sweep reuses few of them, and more would
+    raise its peak memory."""
+    return [0, 0]
+
+
+def _row_holds(kernel, n: int, v: int, z: int, xs: int) -> bool:
+    """True iff no bit x of ``xs`` is bad in the row of ``kernel`` for
+    (v, z).  A known bad bit answers at once; otherwise the bits not yet
+    covered are evaluated in id order, up to the first bad one."""
+    row = _row(kernel, n, v, z)
+    covered, bad = row
+    if xs & bad:
         return False
-    index, mask, zv = _masks(n, u, v, z)
-    for x, k in _join_ids(index.up, mask, zv):
-        if k < 0 or (x != u and not _upper_hcd(n, x, v, k)):
+    todo = xs & ~covered
+    if not todo:
+        return True
+    index = rank_index(n)
+    up = index.up
+    zv = up[z] & index.down[v]
+    for x in bits(todo):
+        bit = 1 << x
+        covered |= bit
+        j = _join_id(up, zv, x)
+        if j < 0 or not kernel(n, x, v, j):
+            row[0], row[1] = covered, bad | bit
             return False
+    row[0] = covered
     return True
+
+
+def _amazing(n: int, u: int, v: int, z: int) -> bool:
+    # the join of z and u is z, so the bit of u is the test _upper_hcd(n, u, v, z)
+    index = rank_index(n)
+    return _row_holds(_upper_hcd, n, v, z, index.up[u] & index.down[v])
 
 
 def is_amazing(I: Interval, z: Perm) -> bool:
@@ -370,12 +431,10 @@ def is_r_element(I: Interval, z: Perm) -> bool:
     return _r_element(*_member_key(I, z))
 
 
-@lru_cache(maxsize=1 << 17)
 def _amazing_r_element(n: int, u: int, v: int, z: int) -> bool:
-    if not _amazing(n, u, v, z):
-        return False
-    index, mask, zv = _masks(n, u, v, z)
-    return all(_r_element(n, x, v, k) for x, k in _join_ids(index.up, mask, zv))
+    index = rank_index(n)
+    mask = index.up[u] & index.down[v]
+    return _row_holds(_upper_hcd, n, v, z, mask) and _row_holds(_r_element, n, v, z, mask)
 
 
 def is_amazing_r_element(I: Interval, z: Perm) -> bool:

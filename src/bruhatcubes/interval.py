@@ -9,7 +9,9 @@ The index (:func:`rank_index`) numbers the n! permutations of a rank by
   ``perms[i]``, and ``arrows[i]``, the arrows out as ``{target id: label}``;
 * ``up[i]`` and ``down[i]``: the elements above and below ``perms[i]``;
 * ``where[i][a]``: the ids whose window has value a at position i + 1, so
-  a coset of a parabolic subgroup fixing one entry is one mask.
+  a coset of a parabolic subgroup fixing one entry is one mask;
+* ``right[t][i]``: the id of ``perms[i] * t`` for each reflection t, built
+  on first use.
 
 It is built once from :func:`~bruhatcubes.permutations.lower_neighbors`.
 Bruhat order is the transitive closure of the arrows, and every arrow
@@ -109,6 +111,21 @@ class RankIndex:
         self.down: tuple[int, ...] = tuple(down)
         self.where: tuple[tuple[int, ...], ...] = tuple(map(tuple, where))
         self._bottoms: dict[int, list] = {}
+
+    @cached_property
+    def right(self) -> dict[Reflection, tuple[int, ...]]:
+        """The right action of each reflection on ids: ``right[t][x]`` is the
+        id of ``perms[x] * t``.  x and x*t are the two ends of one arrow,
+        so the table is read off the arrows, on first use."""
+        size = len(self.perms)
+        right: dict[Reflection, list[int]] = {}
+        for x, row in enumerate(self.arrows):
+            for y, t in row.items():
+                act = right.get(t)
+                if act is None:
+                    act = right[t] = [0] * size
+                act[x], act[y] = y, x
+        return {t: tuple(act) for t, act in right.items()}
 
     def distances(self, u: int, v: int) -> tuple[dict[int, int], dict[int, int]]:
         """The tables ``depth`` and ``geo`` of bottom u, by id, covering at

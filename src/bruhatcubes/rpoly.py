@@ -6,6 +6,20 @@ over the label-increasing directed paths from u to v for a chosen reflection
 order; the two must agree for every valid order, and that agreement is one of
 the main verification targets of the package.
 
+Both path sums come from one label pass over permutation ids.  The
+reflections are taken in order, and for each t every vertex x that already
+has counts pushes them along its arrow x -> x*t (the right action of the
+rank index).  After the pass over t, the counts of x are the increasing
+paths to x whose labels all come no later than t.  Counts are packed into
+one int per vertex, limb k holding the paths of length k.  An increasing
+path from u is fixed by its set of labels, so every count is at most 2^N,
+N = n(n-1)/2 the number of reflections; limbs of N + 1 bits therefore never
+carry.  Every arrow raises the order, so an increasing path from u to v
+stays in [u, v]: ``rtilde_dyer`` reads v off a pass over all of up[u],
+memoized for the three canonical orders of the current bottom (the first
+interval of a bottom runs it over [u, v] alone), and
+``increasing_path_counts`` runs the pass over [u, v] with [z, v] absorbing.
+
 A reflection order on rank n lists all n(n-1)/2 transpositions so that
 t_{ik} sits strictly between t_{ij} and t_{jk} whenever i < j < k.  Orders
 are produced from reduced words of the longest element by prefix conjugation.
@@ -18,7 +32,7 @@ from functools import lru_cache
 
 from .cache import PolyCache
 from .errors import OrderError, WordError
-from .interval import Interval
+from .interval import Interval, bits, rank_index
 from .permutations import (
     Perm,
     Reflection,
@@ -30,7 +44,7 @@ from .permutations import (
     reflections,
     right_multiply_simple,
 )
-from .polynomials import ONE, QPoly, ZERO, normalize, padd, pshift
+from .polynomials import ONE, QPoly, ZERO, padd, pshift
 
 # ---------------------------------------------------------------------------
 # recurrence route
@@ -176,15 +190,70 @@ def _canonical_orders(n: int, count: int) -> tuple[ReflectionOrder, ...]:
 # increasing-path route
 
 
+def _label_pass(
+    n: int, u: int, order: ReflectionOrder, mask: int, absorbing: int
+) -> dict[int, int]:
+    """Packed counts of the order-increasing paths from u, by the id of
+    their end: limb k of ``counts[p]`` holds the paths of length k to p.
+
+    The reflections are taken in order; for each t, every vertex x that has
+    counts and is not in ``absorbing`` pushes them, one limb up, along its
+    arrow x -> x*t when that arrow exists and ends in ``mask``.  A vertex
+    that t reaches lies above its t-neighbour, so it pushes nothing along t:
+    a pass over a snapshot of the vertices with counts uses each label at
+    most once on a path.
+    """
+    if sorted(order.sequence) != reflections(n):
+        raise OrderError(f"not a reflection order of rank {n}: {order}")
+    width = len(order) + 1
+    right = rank_index(n).right
+    counts = {u: 1}
+    for t in order.sequence:
+        act = right[t]
+        for x, c in list(counts.items()):
+            y = act[x]
+            # x*t has another length than x and ids follow length, so the
+            # arrow between them points up exactly when y > x
+            if y > x and mask >> y & 1 and not absorbing >> x & 1:
+                counts[y] = counts.get(y, 0) + (c << width)
+    return counts
+
+
+@lru_cache(maxsize=3)
+def _passes(n: int, u: int, order: ReflectionOrder) -> list:
+    """The label pass of bottom u: [mask, counts], empty until
+    :func:`rtilde_dyer` runs it.  The memo holds one pass for each of the
+    three canonical orders of the current bottom."""
+    return [0, {}]
+
+
+def _coefficients(packed: int, width: int) -> QPoly:
+    """The limbs of ``packed``, lowest first: a normalized polynomial."""
+    low = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & low)
+        packed >>= width
+    return tuple(coeffs)
+
+
 def rtilde_dyer(I: Interval, order: ReflectionOrder) -> QPoly:
     """Sum of q^|path| over the order-increasing directed paths from the
-    bottom to the top of the interval: the row of v in the table of
-    :func:`increasing_path_counts` for z = v, since [v, v] = {v}."""
-    counts = increasing_path_counts(I, I.v, order)[I.v]
-    coeffs = [0] * (max(counts, default=-1) + 1)
-    for d, c in counts.items():
-        coeffs[d] = c
-    return normalize(coeffs)
+    bottom to the top of the interval: the entry of v in a label pass from u
+    over any mask that holds [u, v], since such a path stays in [u, v].
+
+    The first interval with bottom u runs the pass over [u, v] alone; a
+    second top runs it over all of up[u], which then serves every interval
+    with that bottom.  So a sweep in bottom-major order makes about one full
+    pass per bottom and order, and a single interval pays only for itself.
+    """
+    n, u, v = I.n, I.uid, I.vid
+    entry = _passes(n, u, order)
+    if not entry[0] >> v & 1:
+        mask = I.index.up[u] if entry[0] else I.mask
+        entry[1] = _label_pass(n, u, order, mask, 0)
+        entry[0] = mask
+    return _coefficients(entry[1].get(v, 0), len(order) + 1)
 
 
 def increasing_path_counts(
@@ -194,33 +263,17 @@ def increasing_path_counts(
     whose support meets [z, v] only at p, for every p in [z, v].
 
     [z, v] is upward closed, so such a path stays outside [z, v] until its
-    final step; the empty path counts with length 0 when the bottom itself
-    lies in [z, v].
+    final step: it is the label pass over [u, v] with [z, v] absorbing.  The
+    empty path counts with length 0 when the bottom itself lies in [z, v].
     """
     I.require(z)
-    if sorted(order.sequence) != reflections(I.n):
-        raise OrderError(f"reflection order has the wrong rank for {I!r}")
     zv = I.upper(z)
-    table: dict[Perm, dict[int, int]] = {p: {} for p in I.members(zv)}
-    if z == I.u:
-        table[I.u][0] = 1
-        return table
-    pos = order.position
-    arrows, mask, perms = I.index.arrows, I.mask, I.index.perms
-
-    def walk(x: int, last: int, steps: int) -> None:
-        for y, t in arrows[x].items():
-            p = pos[t]
-            if p <= last or not mask >> y & 1:
-                continue
-            if zv >> y & 1:
-                row = table[perms[y]]
-                row[steps + 1] = row.get(steps + 1, 0) + 1
-            else:
-                walk(y, p, steps + 1)
-
-    walk(I.uid, -1, 0)
-    return table
+    counts = _label_pass(I.n, I.uid, order, I.mask, zv)
+    width, perms = len(order) + 1, I.index.perms
+    return {
+        perms[p]: {k: c for k, c in enumerate(_coefficients(counts.get(p, 0), width)) if c}
+        for p in bits(zv)
+    }
 
 
 # ---------------------------------------------------------------------------

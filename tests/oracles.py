@@ -139,6 +139,19 @@ def all_directed_paths(members: set[Perm], x: Perm, y: Perm) -> list[list[Perm]]
     return paths
 
 
+def increasing_paths_brute(members: set[Perm], x: Perm, y: Perm, order) -> list[list[Perm]]:
+    """The directed paths x -> ... -> y whose labels strictly increase in
+    the reflection order ``order``, filtered from every path."""
+    label = {(a, b): t for a, b, t in bruhat_edges_brute(members)}
+    pos = order.position
+    out = []
+    for path in all_directed_paths(members, x, y):
+        ranks = [pos[label[a, b]] for a, b in zip(path, path[1:])]
+        if all(r < s for r, s in zip(ranks, ranks[1:])):
+            out.append(path)
+    return out
+
+
 def geodesics_brute(members: set[Perm], x: Perm, y: Perm) -> list[list[Perm]]:
     paths = all_directed_paths(members, x, y)
     if not paths:

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,8 @@ from bruhatcubes.hcd import (
     standard_hcd_kinds,
     standard_hcds,
 )
-from bruhatcubes.interval import comparable_pairs, interval
+from bruhatcubes.doubles import verify_bologna
+from bruhatcubes.interval import comparable_pairs, interval, interval_size
 from bruhatcubes.permutations import identity, longest_element
 from bruhatcubes.polynomials import ONE
 from bruhatcubes.rpoly import rtilde
@@ -339,11 +341,11 @@ def test_join_rows_match_oracle_s4():
     missing = 0
     for u, v in comparable_pairs(4):
         I = interval(u, v)
-        members, perms = set(I.elements), I.index.perms
+        members, index = set(I.elements), I.index
         for z in I.elements:
             row = [(x, join_brute(members, z, x)) for x in I.elements]
-            got = hcd._join_ids(I.index.up, I.mask, I.upper(z))
-            assert [(perms[x], perms[k] if k >= 0 else None) for x, k in got] == row, (u, v, z)
+            got = [(x, hcd._join_id(index.up, I.upper(z), index.id[x])) for x in I.elements]
+            assert [(x, index.perms[k] if k >= 0 else None) for x, k in got] == row, (u, v, z)
             missing += sum(j is None for _, j in row)
     assert missing == 504
 
@@ -361,3 +363,97 @@ def test_amazing_r_element_builds_no_sub_intervals(built_intervals):
     I = interval(e, w0)
     assert [is_amazing_r_element(I, z) for z in I.elements].count(True) == 3
     assert built_intervals == [(e, w0)]
+
+
+# ---------------------------------------------------------------------------
+# row tables: one per (kernel, n, v, z), shared by every bottom u
+
+ROW_TOPS = ((4, 5, 1, 2, 3), (2, 5, 4, 3, 1))
+ROW_PAIRS = [p for p in comparable_pairs(5) if p[1] in ROW_TOPS and interval_size(*p) <= 24]
+
+
+def _row_readings(pairs) -> dict:
+    """is_amazing and is_amazing_r_element of every z, and bologna's h2 of
+    every pair of amazing z != z', for the pairs in the order given."""
+    out = {}
+    for u, v in pairs:
+        I = interval(u, v)
+        amazing = []
+        for z in I.elements:
+            out[u, v, z] = (is_amazing(I, z), is_amazing_r_element(I, z))
+            if out[u, v, z][0]:
+                amazing.append(z)
+        for z, zp in itertools.permutations(amazing, 2):
+            out[u, v, z, zp] = verify_bologna(I, z, zp)["hypotheses"]["h2"]
+    return out
+
+
+def test_row_tables_do_not_depend_on_visit_order(clear_memos):
+    assert len(ROW_PAIRS) == 84
+    clear_memos()
+    bottom_major = _row_readings(ROW_PAIRS)
+    for key, got in bottom_major.items():
+        if len(key) == 3:
+            assert got == (amazing_brute(*key), amazing_r_element_brute(*key)), key
+        else:
+            u, v, _, zp = key
+            members = interval_elements_brute(u, v)
+            h2 = all(r_element_brute(x, v, join_brute(members, zp, x)) for x in members - {u})
+            assert got == h2, key
+    shuffled = list(ROW_PAIRS)
+    random.Random(5).shuffle(shuffled)
+    for pairs in (ROW_PAIRS[::-1], shuffled):
+        clear_memos()
+        assert _row_readings(pairs) == bottom_major
+
+
+@pytest.fixture
+def kernel_calls(clear_memos, monkeypatch):
+    """The calls that the row tables make of ``_upper_hcd`` and
+    ``_r_element``, from cleared memos."""
+    clear_memos()
+    calls = []
+    for name in ("_upper_hcd", "_r_element"):
+
+        def counted(*key, kernel=getattr(hcd, name)):
+            calls.append(key)
+            return kernel(*key)
+
+        monkeypatch.setattr(hcd, name, counted)
+    return calls
+
+
+def test_rows_answer_covered_bits_without_kernel_calls(kernel_calls):
+    w0 = longest_element(5)
+    top = interval(identity(5), w0)
+    z = standard_hcds(top)[-1]
+    assert is_amazing_r_element(top, z)
+    assert len(kernel_calls) == 2 * len(top)  # one per x for each row
+    kernel_calls.clear()
+    below_z = [u for u in top.elements if top.leq(u, z)]
+    for u in below_z:
+        I = interval(u, w0)
+        assert is_amazing(I, z) and is_amazing_r_element(I, z)
+    assert len(below_z) > 1 and kernel_calls == []
+
+
+def test_rows_answer_a_known_bad_bit_without_kernel_calls(kernel_calls):
+    index = interval(identity(4), identity(4)).index
+    up = index.up
+    found = 0
+    for u, v in comparable_pairs(4):
+        I = interval(u, v)
+        for z in I.elements:
+            if is_amazing(I, z):
+                continue
+            zid = index.id[z]
+            bad = (hcd._row(hcd._upper_hcd, 4, I.vid, zid)[1] & I.mask).bit_length() - 1
+            assert bad >= 0
+            # another bottom below z and the bad bit, with the same (v, z)
+            for w in range(len(index.perms)):
+                if w != I.uid and up[w] >> bad & 1 and up[w] >> zid & 1 and up[w] >> I.vid & 1:
+                    kernel_calls.clear()
+                    assert not is_amazing(interval(index.perms[w], v), z)
+                    assert kernel_calls == []
+                    found += 1
+    assert found

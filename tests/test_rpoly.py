@@ -21,7 +21,12 @@ from bruhatcubes.rpoly import (
     staircase_word,
 )
 
-from oracles import rtilde_brute_by_hand_s3
+from oracles import (
+    increasing_paths_brute,
+    interval_elements_brute,
+    rtilde_brute_by_hand_s3,
+    subword_leq,
+)
 from strategies import comparable_pair
 
 E3 = identity(3)
@@ -210,6 +215,48 @@ def test_increasing_path_counts_zero_below_distance():
     for p, row in table.items():
         for k in row:
             assert k >= I.distance(I.u, p)
+
+
+def _path_polynomial(paths) -> tuple[int, ...]:
+    coeffs = [0] * max((len(p) for p in paths), default=0)
+    for path in paths:
+        coeffs[len(path) - 1] += 1
+    return tuple(coeffs)
+
+
+def _paths_match_brute(u, v, orders, zs) -> None:
+    """rtilde_dyer and increasing_path_counts against the increasing paths
+    of the oracle: for every p in [z, v], those from u to p inside [u, p]
+    that meet [z, v] only at p."""
+    I = interval(u, v)
+    members = interval_elements_brute(u, v)
+    below = {p: interval_elements_brute(u, p) for p in members}
+    for o in orders:
+        paths = {p: increasing_paths_brute(below[p], u, p, o) for p in members}
+        assert rtilde_dyer(I, o) == _path_polynomial(paths[v]), (u, v, str(o))
+        for z in zs:
+            table = {}
+            for p in members:
+                if subword_leq(z, p):
+                    row = table[p] = {}
+                    for path in paths[p]:
+                        if not any(subword_leq(z, x) for x in path[:-1]):
+                            row[len(path) - 1] = row.get(len(path) - 1, 0) + 1
+            assert increasing_path_counts(I, z, o) == table, (u, v, z, str(o))
+
+
+def test_increasing_paths_match_brute_s4_all_orders():
+    orders = all_reflection_orders(4)
+    for u, v in comparable_pairs(4):
+        _paths_match_brute(u, v, orders, interval(u, v).elements)
+
+
+@given(pair=comparable_pair(max_size=60), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_increasing_paths_match_brute_s5_s6(pair, data):
+    u, v = pair
+    z = data.draw(st.sampled_from(interval(u, v).elements), label="z")
+    _paths_match_brute(u, v, canonical_orders(len(u), 3), [z])
 
 
 # ---------------------------------------------------------------------------
