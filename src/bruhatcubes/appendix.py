@@ -14,6 +14,11 @@ reads (rank, p) off them: the level that the double expansion of
 :mod:`bruhatcubes.doubles` walks for DH.  DH(z, z') then collects
 (rank1 + rank2, b) over such pairs (H1, p) for [u, v] and (H2, b) for [p, v]
 with respect to the join of z' and p.
+
+The increasing-path lemma compares the tables of many reflection orders.  A
+table reads only the labels of arrows inside the interval, so
+:func:`verify_lemma_incpaths` computes one table per distinct restriction of
+the orders to those labels.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .doubles import DegreeMultiset, _record, double_multiset, double_symmetric, multiset_entries
-from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcuts, spans_hypercube
+from .hcd import HypercubeEmbedding, _masks, _member_key, shortcuts, spans_hypercube
 from .interval import Interval, bits
 from .permutations import Perm, format_perm, lower_neighbors, root
 from .rpoly import constrained_orders, increasing_path_counts
@@ -74,18 +79,30 @@ def is_cosimple(I: Interval) -> bool:
 @lru_cache(maxsize=1 << 16)
 def _hypercubes(n: int, u: int, v: int, z: int) -> tuple[tuple[HypercubeEmbedding, int], ...]:
     """(hypercube, id of p) for every antichain-spanned hypercube of [u, v]
-    for z: for each p in [z, v], every antichain of interval arrows into p
-    is tested for spanning, and the embedding is kept when its bottom is u
-    and its vertex set meets [z, v] only at p."""
+    for z: for each p in [z, v], in id order, every antichain of interval
+    arrows into p is tested for spanning, and the embedding is kept when its
+    bottom is u and its vertex set meets [z, v] only at p.  The antichains
+    are walked as ``hcd._cluster`` walks them, on the up- and down-masks:
+    depth first over the sources sorted by window, from the empty one."""
     index, mask, zv = _masks(n, u, v, z)
-    perms = index.perms
+    perms, up, down = index.perms, index.up, index.down
     bottom = perms[u]
     cone = frozenset(perms[k] for k in bits(zv))
+
+    def antichains(srcs: list[int], start: int, chosen: tuple[Perm, ...], apart: int):
+        # ``apart``: the sources incomparable to every chosen one
+        yield chosen
+        for i in range(start, len(srcs)):
+            x = srcs[i]
+            if apart >> x & 1:
+                rest = apart & ~(up[x] | down[x])
+                yield from antichains(srcs, i + 1, chosen + (perms[x],), rest)
+
     out: list[tuple[HypercubeEmbedding, int]] = []
     for k in bits(zv):
         p = perms[k]
-        sources = tuple(sorted(perms[s] for s in bits(index.in_mask[k] & mask)))
-        for sub in _antichains(sources):
+        sources = index.in_mask[k] & mask
+        for sub in antichains(sorted(bits(sources), key=perms.__getitem__), 0, (), sources):
             emb = spans_hypercube(p, sub)
             if emb is not None and emb.bottom == bottom and emb.image & cone == {p}:
                 out.append((emb, k))
@@ -242,7 +259,11 @@ def verify_lemma_incpaths(
             reading=reading,
             reason="no constrained order exists",
         )
-    keys = {_table_key(increasing_path_counts(I, z, o)) for o in orders}
+    # the label pass reads only the labels of arrows inside I, so orders
+    # with the same restriction to them give the same table: one per group
+    labels = {t for _, _, t in I.arrow_ids()}
+    groups = {tuple(t for t in o.sequence if t in labels): o for o in orders}
+    keys = {_table_key(increasing_path_counts(I, z, o)) for o in groups.values()}
     if len(keys) == 1:
         status = "PASS"
     else:

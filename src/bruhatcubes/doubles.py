@@ -10,6 +10,11 @@ and DH(z, z') count (a + c, b) over it in one memo keyed on the level and the
 ids, the Bologna chain sums R-tilde over it, and the product check compares
 its (p, b) pairs.  Multisets are plain Counters keyed by (degree, element).
 
+The product check repeats its values across the pairs of one product, so
+:func:`verify_product` keeps them in memos that live for one call, filled
+when a pair first needs a value, and compares block sums as ids through the
+table ``_block_ids``.
+
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
 conjectured statement broke, which is a research result, not an error), and
@@ -19,7 +24,7 @@ SKIP (hypotheses not met).
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import OrderError
 from .interval import Interval, interval, rank_index
@@ -27,6 +32,7 @@ from .permutations import Perm, direct_sum, format_perm
 from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str
 from .hcd import (
     _join_id,
+    _member_key,
     _r_element,
     _row_holds,
     _rtilde_sum,
@@ -36,7 +42,6 @@ from .hcd import (
     is_r_element,
     rtilde_z,
     shortcut_level,
-    shortcuts,
     standard_hcds,
 )
 from .rpoly import rtilde
@@ -280,6 +285,14 @@ def verify_product(
     in the product interval, the componentwise shortcut equivalences are
     checked in both directions, and DS symmetry of the pair in the product is
     required whenever it holds componentwise.
+
+    A product repeats its values across pairs, so each is computed once per
+    call, when a pair first needs it, in a memo that lives for the call: per
+    factor and z, the amazing test and the shortcut ids; per factor and
+    ordered (z, z'), DS symmetry and the (p, b) ids of the double expansion;
+    per block sum z, the amazing test in P and whether its shortcuts factor;
+    per ordered (z, z'), the inner match and DS symmetry in P.  Block sums
+    of ids are read from ``_block_ids``.
     """
     P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
     records: list[dict] = []
@@ -297,37 +310,81 @@ def verify_product(
         [format_perm(I1.u), format_perm(I1.v)],
         [format_perm(I2.u), format_perm(I2.v)],
     ]
-    for (z1, z2), (zp1, zp2) in pairs:
+    sides = (I1, I2)
+    block = _block_ids(I1.n, I2.n)
+
+    @cache
+    def amazing(side: int, z: Perm) -> bool:
+        return is_amazing(sides[side], z)
+
+    @cache
+    def symmetric(side: int, z: Perm, zp: Perm) -> bool:
+        return ds_symmetric(sides[side], z, zp)
+
+    @cache
+    def factor_shortcuts(side: int, z: Perm) -> frozenset[int]:
+        return _shortcut_ids(sides[side], z)
+
+    @cache
+    def factor_pairs(side: int, z: Perm, zp: Perm) -> frozenset[tuple[int, int]]:
+        return _expansion_pairs(sides[side], z, zp)
+
+    @cache
+    def amazing_in_product(z: Perm) -> bool:
+        return is_amazing(P, z)
+
+    @cache
+    def shortcuts_factor(z1: Perm, z2: Perm) -> bool:
+        # W^z in the product equals the block sums of the component shortcuts
+        w1, w2 = factor_shortcuts(0, z1), factor_shortcuts(1, z2)
+        expected = {block[a][b] for a in w1 for b in w2}
+        return _shortcut_ids(P, direct_sum(z1, z2)) == expected
+
+    @cache
+    def inner_match(zs: tuple[Perm, Perm], zps: tuple[Perm, Perm]) -> bool:
+        # the (p, b) pairs of the product's double expansion of (z, z') are
+        # the block sums of the factors' pairs.  This runs only once the
+        # z-shortcuts factor, so both sides group their pairs by the same p,
+        # and it says that for every p the shortcuts of [p, V] for the join
+        # of z' and p factor
+        pairs1 = factor_pairs(0, zs[0], zps[0])
+        pairs2 = factor_pairs(1, zs[1], zps[1])
+        expected = {
+            (block[p1][p2], block[b1][b2]) for p1, b1 in pairs1 for p2, b2 in pairs2
+        }
+        return _expansion_pairs(P, direct_sum(*zs), direct_sum(*zps)) == expected
+
+    @cache
+    def symmetric_in_product(z: Perm, zp: Perm) -> bool:
+        return ds_symmetric(P, z, zp)
+
+    for zs, zps in pairs:
+        (z1, z2), (zp1, zp2) = zs, zps
         z = direct_sum(z1, z2)
         zp = direct_sum(zp1, zp2)
         fields = {"factors": factors, "z": format_perm(z), "z2": format_perm(zp)}
-        if not (
-            is_amazing(I1, z1)
-            and is_amazing(I2, z2)
-            and is_amazing(I1, zp1)
-            and is_amazing(I2, zp2)
-        ):
+        if not (amazing(0, z1) and amazing(1, z2) and amazing(0, zp1) and amazing(1, zp2)):
             records.append(
                 _record("product", P, "SKIP", reason="components not amazing", **fields)
             )
             continue
-        if not (ds_symmetric(I1, z1, zp1) and ds_symmetric(I2, z2, zp2)):
+        if not (symmetric(0, z1, zp1) and symmetric(1, z2, zp2)):
             records.append(
                 _record("product", P, "SKIP", reason="component DS not symmetric", **fields)
             )
             continue
         problems: list[str] = []
-        if not (is_amazing(P, z) and is_amazing(P, zp)):
+        if not (amazing_in_product(z) and amazing_in_product(zp)):
             problems.append("block sums not amazing in the product")
-        if not _product_shortcuts_match(P, I1, I2, z, (z1, z2)):
+        if not shortcuts_factor(z1, z2):
             problems.append("z-shortcuts do not factor")
-        if not _product_shortcuts_match(P, I1, I2, zp, (zp1, zp2)):
+        if not shortcuts_factor(zp1, zp2):
             problems.append("z'-shortcuts do not factor")
-        if not problems and not _product_inner_shortcuts_match(P, I1, I2, (z1, z2), (zp1, zp2)):
+        if not problems and not inner_match(zs, zps):
             problems.append("inner shortcuts do not factor")
-        if not problems and not _product_inner_shortcuts_match(P, I1, I2, (zp1, zp2), (z1, z2)):
+        if not problems and not inner_match(zps, zs):
             problems.append("reverse inner shortcuts do not factor")
-        if not problems and not ds_symmetric(P, z, zp):
+        if not problems and not symmetric_in_product(z, zp):
             problems.append("DS symmetry does not transfer")
         if problems:
             records.append(_record("product", P, "FAIL", witness="; ".join(problems), **fields))
@@ -336,30 +393,24 @@ def verify_product(
     return records
 
 
-def _product_shortcuts_match(P, I1, I2, z, zparts) -> bool:
-    """W^z in the product equals the block sums of the component shortcuts."""
-    w1 = shortcuts(I1, zparts[0])
-    w2 = shortcuts(I2, zparts[1])
-    expected = {direct_sum(a, b) for a in w1 for b in w2}
-    return shortcuts(P, z) == expected
+@lru_cache(maxsize=None)
+def _block_ids(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
+    """``_block_ids(n1, n2)[a][b]`` is the id in rank n1 + n2 of the block
+    sum of the permutations with ids a in rank n1 and b in rank n2."""
+    ids = rank_index(n1 + n2).id
+    right = rank_index(n2).perms
+    return tuple(
+        tuple(ids[direct_sum(x, y)] for y in right) for x in rank_index(n1).perms
+    )
 
 
-def _expansion_pairs(I: Interval, z: Perm, zp: Perm) -> set[tuple[Perm, Perm]]:
-    """The (p, b) of the double expansion of (z, z') over shortcuts."""
-    ids, perms = I.index.id, I.index.perms
+def _shortcut_ids(I: Interval, z: Perm) -> frozenset[int]:
+    """The ids of the shortcuts for z, read off the shortcut level."""
+    return frozenset(p for _, p in shortcut_level(*_member_key(I, z)))
+
+
+def _expansion_pairs(I: Interval, z: Perm, zp: Perm) -> frozenset[tuple[int, int]]:
+    """The (p, b) of the double expansion of (z, z') over shortcuts, by id."""
+    ids = I.index.id
     walk = double_expansion(shortcut_level, I.n, I.uid, I.vid, ids[z], ids[zp])
-    return {(perms[p], perms[b]) for _, p, b in walk}
-
-
-def _product_inner_shortcuts_match(P, I1, I2, zs, zps) -> bool:
-    """The (p, b) pairs of the product's double expansion of (z, z') are the
-    block sums of the factors' pairs.  This runs only after the z-shortcuts
-    of the product are found to be the block sums of the factors' ones, so
-    both sides group their pairs by the same p, and it says that for every
-    p the shortcuts of [p, V] for the join of z' and p factor."""
-    pairs1 = _expansion_pairs(I1, zs[0], zps[0])
-    pairs2 = _expansion_pairs(I2, zs[1], zps[1])
-    expected = {
-        (direct_sum(p1, p2), direct_sum(b1, b2)) for p1, b1 in pairs1 for p2, b2 in pairs2
-    }
-    return _expansion_pairs(P, direct_sum(*zs), direct_sum(*zps)) == expected
+    return frozenset((p, b) for _, p, b in walk)

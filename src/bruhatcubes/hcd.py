@@ -53,7 +53,7 @@ from typing import AbstractSet
 
 from .errors import OrderError
 from .interval import Interval, RankIndex, bits, rank_index
-from .permutations import Perm, format_perm, incomparable, lower_neighbors
+from .permutations import Perm, format_perm, lower_neighbors
 from .polynomials import QPoly, ZERO, padd, pshift
 from .rpoly import rtilde
 
@@ -168,18 +168,6 @@ def count_hypercube_assignments(top: Perm, sources: tuple[Perm, ...]) -> int:
     return len(_assignments(top, sources, cap=None))
 
 
-def _antichains(items: tuple[Perm, ...]):
-    """All subsets of pairwise Bruhat-incomparable items (including empty)."""
-
-    def rec(start: int, chosen: tuple[Perm, ...]):
-        yield chosen
-        for i in range(start, len(items)):
-            if all(incomparable(items[i], c) for c in chosen):
-                yield from rec(i + 1, chosen + (items[i],))
-
-    yield from rec(0, ())
-
-
 def spans_cluster(top: Perm, sources: AbstractSet[Perm]) -> bool:
     """True iff every antichain subfamily of the arrows spans a hypercube.
 
@@ -194,8 +182,9 @@ def spans_cluster(top: Perm, sources: AbstractSet[Perm]) -> bool:
 @lru_cache(maxsize=1 << 17)
 def _cluster(n: int, p: int, sources: int) -> bool:
     """:func:`spans_cluster` on ids: the arrows into p from the ids set in
-    ``sources``.  Antichains are taken in the order of ``_antichains`` over
-    the sorted windows, each tested once."""
+    ``sources``.  Antichains are walked depth first over the sources sorted
+    by window, each extended only by a later source incomparable to all its
+    members (read off the up- and down-masks), and each tested once."""
     index = rank_index(n)
     perms, up, down = index.perms, index.up, index.down
     top = perms[p]

@@ -5,7 +5,10 @@ sorted-prefix (tableau) Bruhat comparison, literal path enumeration without
 pruning, and hypercube cell assignment over the whole group.  None of it
 shares a code path with the implementations under test beyond elementary
 window arithmetic, except that the R-element form reads R-tilde values from
-``rpoly.rtilde``, which ``test_rpoly`` checks against the path-counting route.
+``rpoly.rtilde``, which ``test_rpoly`` checks against the path-counting route,
+and ``hypercubes_by_windows`` calls ``hcd.spans_hypercube``: it pins the order
+in which hypercubes are listed, not the spanning test, which
+``antichain_hypercubes_brute`` checks.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import itertools
 from bisect import insort
 from functools import lru_cache
 
+from bruhatcubes.hcd import HypercubeEmbedding, spans_hypercube
 from bruhatcubes.permutations import (
     Perm,
     all_perms,
+    direct_sum,
     identity,
     length,
     right_multiply_simple,
@@ -255,6 +260,43 @@ def antichain_hypercubes_brute(
     return out
 
 
+def window_antichains(members: set[Perm], z: Perm) -> list[tuple[Perm, tuple[Perm, ...]]]:
+    """(p, antichain) in the order of the window enumeration: p in [z, v]
+    by (length, window); for each p, the antichains of the sorted windows of
+    the sources of its arrows in depth-first preorder from the empty one,
+    incomparability tested by subwords."""
+    edges = bruhat_edges_brute(members)
+
+    def antichains(items: list[Perm], start: int, chosen: tuple[Perm, ...]):
+        yield chosen
+        for i in range(start, len(items)):
+            x = items[i]
+            if not any(subword_leq(x, c) or subword_leq(c, x) for c in chosen):
+                yield from antichains(items, i + 1, chosen + (x,))
+
+    zv = (x for x in members if subword_leq(z, x))
+    return [
+        (p, sub)
+        for p in sorted(zv, key=lambda x: (length(x), x))
+        for sub in antichains(sorted(x for x, y, _ in edges if y == p), 0, ())
+    ]
+
+
+def hypercubes_by_windows(
+    members: set[Perm], u: Perm, v: Perm, z: Perm
+) -> list[tuple[HypercubeEmbedding, Perm]]:
+    """(hypercube, p) for the antichain-spanned hypercubes of [u, v] for z,
+    in the order of ``window_antichains``: each antichain that spans, with
+    bottom u and vertex set meeting [z, v] only at p."""
+    zv = {x for x in members if subword_leq(z, x)}
+    out = []
+    for p, sub in window_antichains(members, z):
+        emb = spans_hypercube(p, sub)
+        if emb is not None and emb.bottom == u and emb.image & zv == {p}:
+            out.append((emb, p))
+    return out
+
+
 def join_brute(members: set[Perm], z: Perm, x: Perm) -> Perm | None:
     """Unique least member of the joint upper cone, by pairwise scan."""
     cone = [
@@ -279,6 +321,68 @@ def ds_multiset_brute(
             key = (d_up + d_pb, b)
             out[key] = out.get(key, 0) + 1
     return out
+
+
+def expansion_pairs_brute(
+    members: set[Perm], u: Perm, v: Perm, z: Perm, zp: Perm
+) -> set[tuple[Perm, Perm]]:
+    """The (p, b) of the double-shortcut expansion of (z, z'): p a shortcut
+    of [u, v] for z, b a shortcut of [p, v] for the join of z' and p."""
+    out = set()
+    for p in shortcuts_brute(members, u, v, z):
+        j = join_brute(members, zp, p)
+        assert j is not None
+        sub = {x for x in members if subword_leq(p, x)}
+        out.update((p, b) for b in shortcuts_brute(sub, p, v, j))
+    return out
+
+
+@lru_cache(maxsize=None)
+def product_outcome_brute(
+    f1: tuple[Perm, Perm], f2: tuple[Perm, Perm], zs: tuple[Perm, Perm], zps: tuple[Perm, Perm]
+) -> tuple[str, str | None, str | None]:
+    """(status, reason, witness) of the block-sum transfer check for the
+    factors [u1, v1] and [u2, v2] and the pair ((z1, z2), (z1', z2')),
+    evaluated from the definitions in the order of the check."""
+    (u1, v1), (u2, v2) = f1, f2
+    (z1, z2), (zp1, zp2) = zs, zps
+    components = ((u1, v1, z1), (u2, v2, z2), (u1, v1, zp1), (u2, v2, zp2))
+    if not all(amazing_brute(*c) for c in components):
+        return "SKIP", "components not amazing", None
+    m1, m2 = interval_elements_brute(u1, v1), interval_elements_brute(u2, v2)
+
+    def ds_symmetric(members, u, v, a, b) -> bool:
+        return ds_multiset_brute(members, u, v, a, b) == ds_multiset_brute(members, u, v, b, a)
+
+    if not (ds_symmetric(m1, u1, v1, z1, zp1) and ds_symmetric(m2, u2, v2, z2, zp2)):
+        return "SKIP", "component DS not symmetric", None
+    u, v = direct_sum(u1, u2), direct_sum(v1, v2)
+    members = interval_elements_brute(u, v)
+    z, zp = direct_sum(z1, z2), direct_sum(zp1, zp2)
+    problems = []
+    if not (amazing_brute(u, v, z) and amazing_brute(u, v, zp)):
+        problems.append("block sums not amazing in the product")
+    for a, b, name in ((z1, z2, "z-shortcuts"), (zp1, zp2, "z'-shortcuts")):
+        w1, w2 = shortcuts_brute(m1, u1, v1, a), shortcuts_brute(m2, u2, v2, b)
+        expected = {direct_sum(x, y) for x in w1 for y in w2}
+        if shortcuts_brute(members, u, v, direct_sum(a, b)) != expected:
+            problems.append(f"{name} do not factor")
+    for (a1, a2), (b1, b2), name in ((zs, zps, "inner"), (zps, zs, "reverse inner")):
+        if problems:
+            break
+        pairs1 = expansion_pairs_brute(m1, u1, v1, a1, b1)
+        pairs2 = expansion_pairs_brute(m2, u2, v2, a2, b2)
+        expected = {
+            (direct_sum(p1, p2), direct_sum(c1, c2)) for p1, c1 in pairs1 for p2, c2 in pairs2
+        }
+        got = expansion_pairs_brute(members, u, v, direct_sum(a1, a2), direct_sum(b1, b2))
+        if got != expected:
+            problems.append(f"{name} shortcuts do not factor")
+    if not problems and not ds_symmetric(members, u, v, z, zp):
+        problems.append("DS symmetry does not transfer")
+    if problems:
+        return "FAIL", None, "; ".join(problems)
+    return "PASS", None, None
 
 
 def dh_multiset_brute(

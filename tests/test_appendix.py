@@ -1,9 +1,12 @@
 from collections import Counter
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bruhatcubes import appendix
 from bruhatcubes.appendix import (
+    _table_key,
     antichain_hypercubes,
     coatom_precedence_constraints,
     coatom_root_matrix,
@@ -16,7 +19,7 @@ from bruhatcubes.appendix import (
     verify_lemma_incpaths,
 )
 from bruhatcubes.doubles import ds_multiset, multiset_entries
-from bruhatcubes.hcd import enumerate_hcds, shortcuts
+from bruhatcubes.hcd import _member_key, enumerate_hcds, shortcuts, spans_hypercube, standard_hcds
 from bruhatcubes.interval import comparable_pairs, interval
 from bruhatcubes.permutations import (
     all_perms,
@@ -25,8 +28,17 @@ from bruhatcubes.permutations import (
     incomparable,
     longest_element,
 )
+from bruhatcubes.rpoly import all_reflection_orders, constrained_orders, increasing_path_counts
 
-from oracles import antichain_hypercubes_brute, dh_multiset_brute, interval_elements_brute
+from oracles import (
+    antichain_hypercubes_brute,
+    dh_multiset_brute,
+    hypercubes_by_windows,
+    increasing_paths_brute,
+    interval_elements_brute,
+    subword_leq,
+    window_antichains,
+)
 from strategies import comparable_pair
 
 E3 = identity(3)
@@ -167,6 +179,37 @@ def test_antichain_hypercubes_match_brute_force_s5_s6(pair, data):
     assert got == sorted(antichain_hypercubes_brute(members, u, v, z))
 
 
+def _assert_window_order(u, v):
+    """``_hypercubes`` tests the antichains of the window enumeration, in its
+    order, and lists its hypercubes in that order (hw-bijection reads it)."""
+    I = interval(u, v)
+    members = interval_elements_brute(u, v)
+    for z in I.elements:
+        tested = []
+
+        def spy(top, sources):
+            tested.append((top, sources))
+            return spans_hypercube(top, sources)
+
+        with mock.patch.object(appendix, "spans_hypercube", spy):
+            found = appendix._hypercubes.__wrapped__(*_member_key(I, z))
+        assert tested == window_antichains(members, z), (u, v, z)
+        perms = I.index.perms
+        got = [(emb, perms[p]) for emb, p in found]
+        assert got == hypercubes_by_windows(members, u, v, z), (u, v, z)
+
+
+def test_hypercubes_keep_window_order_s4():
+    for u, v in comparable_pairs(4):
+        _assert_window_order(u, v)
+
+
+@given(pair=comparable_pair(max_size=40))
+@settings(max_examples=20, deadline=None)
+def test_hypercubes_keep_window_order_s5_s6(pair):
+    _assert_window_order(*pair)
+
+
 @given(pair=comparable_pair(max_size=24), data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_dh_multiset_matches_brute_force_s5_s6(pair, data):
@@ -251,3 +294,58 @@ def test_lemma_coatom_reading_falsified_instance():
     assert rec["status"] == "FINDING"
     rec = verify_lemma_incpaths(I, z, reading="crossing")
     assert rec["status"] == "PASS"
+
+
+def _restriction(I, order):
+    labels = {t for _, _, t in I.arrow_ids()}
+    return tuple(t for t in order.sequence if t in labels)
+
+
+def test_orders_with_equal_restriction_give_equal_tables_s4():
+    # the label pass reads only the labels of arrows inside the interval
+    orders = all_reflection_orders(4)
+    for u, v in comparable_pairs(4):
+        I = interval(u, v)
+        for z in I.elements:
+            tables = {}
+            for o in orders:
+                key = _table_key(increasing_path_counts(I, z, o))
+                assert tables.setdefault(_restriction(I, o), key) == key, (u, v, z, str(o))
+
+
+def _table_brute(members, u, z, order):
+    """The restricted increasing-path table, from every increasing path."""
+    table = {}
+    for p in members:
+        if subword_leq(z, p):
+            row = table[p] = {}
+            for path in increasing_paths_brute(members, u, p, order):
+                if not any(subword_leq(z, x) for x in path[:-1]):
+                    row[len(path) - 1] = row.get(len(path) - 1, 0) + 1
+    return _table_key(table)
+
+
+@given(pair=comparable_pair(max_size=24))
+@settings(max_examples=20, deadline=None)
+def test_lemma_record_matches_every_order_s5(pair):
+    # one table per restriction must give the record that evaluating every
+    # order gives, under the order limit of the sweep
+    u, v = pair
+    assume(len(u) == 5)
+    I = interval(u, v)
+    members = interval_elements_brute(u, v)
+    for z in standard_hcds(I):
+        for reading, constraints in (
+            ("crossing", crossing_precedence_constraints(I, z)),
+            ("coatom", coatom_precedence_constraints(I, z)),
+        ):
+            rec = verify_lemma_incpaths(I, z, reading=reading, order_limit=48)
+            if rec["status"] == "SKIP":
+                continue
+            orders = constrained_orders(5, constraints, limit=48)
+            tables = {_table_brute(members, u, z, o) for o in orders}
+            if len(tables) == 1:
+                status = "PASS"
+            else:
+                status = "FAIL" if reading == "crossing" else "FINDING"
+            assert (rec["status"], rec["orders"]) == (status, len(orders)), (u, v, z, reading)

@@ -20,13 +20,20 @@ from bruhatcubes.doubles import (
     verify_strong_ds_pair,
 )
 from bruhatcubes.errors import OrderError
-from bruhatcubes.hcd import enumerate_hcds, is_amazing_r_element, is_r_element, join, shortcuts
+from bruhatcubes.hcd import (
+    enumerate_hcds,
+    is_amazing_r_element,
+    is_r_element,
+    join,
+    shortcuts,
+    standard_hcds,
+)
 from bruhatcubes.interval import comparable_pairs, interval
-from bruhatcubes.permutations import identity, longest_element
+from bruhatcubes.permutations import direct_sum, format_perm, identity, longest_element
 from bruhatcubes.polynomials import padd, pshift
 from bruhatcubes.rpoly import rtilde
 
-from oracles import ds_multiset_brute, interval_elements_brute
+from oracles import ds_multiset_brute, interval_elements_brute, product_outcome_brute
 from strategies import comparable_pair
 
 E3 = identity(3)
@@ -193,6 +200,48 @@ def test_product_explicit_pairs():
     (rec,) = verify_product(I3, I2, pairs)
     assert rec["status"] == "PASS"
     assert rec["z"] == "23154"
+
+
+def _assert_product_matches_brute(I1, I2, pairs=None):
+    """verify_product against the brute oracle, record by record: status,
+    reason and witness of every pair, in the order of ``pairs`` (the
+    standard pairs when None)."""
+    records = verify_product(I1, I2, pairs)
+    if pairs is None:
+        zs1, zs2 = standard_hcds(I1), standard_hcds(I2)
+        pairs = [((a1, a2), (b1, b2)) for a1 in zs1 for a2 in zs2 for b1 in zs1 for b2 in zs2]
+    assert len(records) == len(pairs)
+    factors = (I1.u, I1.v), (I2.u, I2.v)
+    for (zs, zps), rec in zip(pairs, records):
+        got = rec["status"], rec.get("reason"), rec.get("witness")
+        assert got == product_outcome_brute(*factors, zs, zps), (factors, zs, zps)
+        assert rec["z"] == format_perm(direct_sum(*zs))
+        assert rec["z2"] == format_perm(direct_sum(*zps))
+
+
+def test_product_matches_brute_s2_s3():
+    for f1 in comparable_pairs(2):
+        for f2 in comparable_pairs(3):
+            _assert_product_matches_brute(interval(*f1), interval(*f2))
+
+
+def test_product_matches_brute_sampled_s3_s3():
+    # the product check runs 3+3 at rank 6.  Same-rank factors share windows,
+    # and with the full interval as one factor every member of the other is
+    # in both, so a memo keyed without the factor would mix their answers
+    for f in random.Random(3).sample(comparable_pairs(3), 6):
+        _assert_product_matches_brute(I3, interval(*f))
+        _assert_product_matches_brute(interval(*f), I3)
+
+
+def test_product_explicit_pairs_match_brute():
+    # every member pair, so that components that are not amazing occur, then
+    # the same pairs repeated, in reverse order and with z and z' swapped
+    I1, I2 = I3, interval(E3, (1, 3, 2))
+    members = [(a, b) for a in I1.elements for b in I2.elements]
+    base = [(zs, zps) for zs in members for zps in members]
+    pairs = base + base[::-1] + [(zps, zs) for zs, zps in base]
+    _assert_product_matches_brute(I1, I2, pairs)
 
 
 @given(pair=comparable_pair(max_size=24), data=st.data())
