@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .doubles import DegreeMultiset, _record, double_multiset, double_symmetric, multiset_entries
-from .hcd import HypercubeEmbedding, _masks, _member_key, shortcuts, spans_hypercube
+from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcuts, spans_hypercube
 from .interval import Interval, bits
 from .permutations import Perm, format_perm, lower_neighbors, root
 from .rpoly import constrained_orders, increasing_path_counts
@@ -79,32 +79,21 @@ def is_cosimple(I: Interval) -> bool:
 @lru_cache(maxsize=1 << 16)
 def _hypercubes(n: int, u: int, v: int, z: int) -> tuple[tuple[HypercubeEmbedding, int], ...]:
     """(hypercube, id of p) for every antichain-spanned hypercube of [u, v]
-    for z: for each p in [z, v], in id order, every antichain of interval
-    arrows into p is tested for spanning, and the embedding is kept when its
-    bottom is u and its vertex set meets [z, v] only at p.  The antichains
-    are walked as ``hcd._cluster`` walks them, on the up- and down-masks:
-    depth first over the sources sorted by window, from the empty one."""
+    for z: for each p in [z, v], in id order, every antichain of the arrows
+    into p from [u, v] \\ [z, v] is tested for spanning, in the order of
+    ``hcd._antichains``, and the embedding is kept when its bottom is u.
+    These are the sources that ``hcd._upper_hcd`` gives the cluster test:
+    every cell but the top lies at or below a source, and every source below
+    v, so the vertex set meets [z, v] only at p exactly when no source does."""
     index, mask, zv = _masks(n, u, v, z)
-    perms, up, down = index.perms, index.up, index.down
+    perms = index.perms
     bottom = perms[u]
-    cone = frozenset(perms[k] for k in bits(zv))
-
-    def antichains(srcs: list[int], start: int, chosen: tuple[Perm, ...], apart: int):
-        # ``apart``: the sources incomparable to every chosen one
-        yield chosen
-        for i in range(start, len(srcs)):
-            x = srcs[i]
-            if apart >> x & 1:
-                rest = apart & ~(up[x] | down[x])
-                yield from antichains(srcs, i + 1, chosen + (perms[x],), rest)
-
     out: list[tuple[HypercubeEmbedding, int]] = []
     for k in bits(zv):
         p = perms[k]
-        sources = index.in_mask[k] & mask
-        for sub in antichains(sorted(bits(sources), key=perms.__getitem__), 0, (), sources):
+        for sub in _antichains(index, index.in_mask[k] & mask & ~zv):
             emb = spans_hypercube(p, sub)
-            if emb is not None and emb.bottom == bottom and emb.image & cone == {p}:
+            if emb is not None and emb.bottom == bottom:
                 out.append((emb, k))
     return tuple(out)
 

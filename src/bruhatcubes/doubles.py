@@ -10,10 +10,11 @@ and DH(z, z') count (a + c, b) over it in one memo keyed on the level and the
 ids, the Bologna chain sums R-tilde over it, and the product check compares
 its (p, b) pairs.  Multisets are plain Counters keyed by (degree, element).
 
-The product check repeats its values across the pairs of one product, so
-:func:`verify_product` keeps them in memos that live for one call, filled
-when a pair first needs a value, and compares block sums as ids through the
-table ``_block_ids``.
+The product check repeats its values across the pairs of one product.
+:func:`verify_product` reads the amazing tests and DS symmetry from the
+process-wide memos, keeps the shortcut and double-expansion sets in memos
+that live for one call, and compares block sums as ids through the table
+``_block_ids``.
 
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
@@ -286,13 +287,15 @@ def verify_product(
     checked in both directions, and DS symmetry of the pair in the product is
     required whenever it holds componentwise.
 
-    A product repeats its values across pairs, so each is computed once per
-    call, when a pair first needs it, in a memo that lives for the call: per
-    factor and z, the amazing test and the shortcut ids; per factor and
-    ordered (z, z'), DS symmetry and the (p, b) ids of the double expansion;
-    per block sum z, the amazing test in P and whether its shortcuts factor;
-    per ordered (z, z'), the inner match and DS symmetry in P.  Block sums
-    of ids are read from ``_block_ids``.
+    A product repeats its values across pairs.  The amazing tests and DS
+    symmetry, in the factors and in P, are answered by the process-wide
+    memos (the row tables of :mod:`~bruhatcubes.hcd` and
+    ``_double_entries``).  The sets that no other memo holds are computed
+    once per call, when a pair first needs them, in memos that live for the
+    call: per factor and z, the shortcut ids; per factor and ordered
+    (z, z'), the (p, b) ids of the double expansion; per block sum z,
+    whether its shortcuts factor; per ordered (z, z'), the inner match.
+    Block sums of ids are read from ``_block_ids``.
     """
     P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
     records: list[dict] = []
@@ -314,24 +317,12 @@ def verify_product(
     block = _block_ids(I1.n, I2.n)
 
     @cache
-    def amazing(side: int, z: Perm) -> bool:
-        return is_amazing(sides[side], z)
-
-    @cache
-    def symmetric(side: int, z: Perm, zp: Perm) -> bool:
-        return ds_symmetric(sides[side], z, zp)
-
-    @cache
     def factor_shortcuts(side: int, z: Perm) -> frozenset[int]:
         return _shortcut_ids(sides[side], z)
 
     @cache
     def factor_pairs(side: int, z: Perm, zp: Perm) -> frozenset[tuple[int, int]]:
         return _expansion_pairs(sides[side], z, zp)
-
-    @cache
-    def amazing_in_product(z: Perm) -> bool:
-        return is_amazing(P, z)
 
     @cache
     def shortcuts_factor(z1: Perm, z2: Perm) -> bool:
@@ -354,27 +345,25 @@ def verify_product(
         }
         return _expansion_pairs(P, direct_sum(*zs), direct_sum(*zps)) == expected
 
-    @cache
-    def symmetric_in_product(z: Perm, zp: Perm) -> bool:
-        return ds_symmetric(P, z, zp)
-
     for zs, zps in pairs:
         (z1, z2), (zp1, zp2) = zs, zps
         z = direct_sum(z1, z2)
         zp = direct_sum(zp1, zp2)
         fields = {"factors": factors, "z": format_perm(z), "z2": format_perm(zp)}
-        if not (amazing(0, z1) and amazing(1, z2) and amazing(0, zp1) and amazing(1, zp2)):
+        if not (
+            is_amazing(I1, z1) and is_amazing(I2, z2) and is_amazing(I1, zp1) and is_amazing(I2, zp2)
+        ):
             records.append(
                 _record("product", P, "SKIP", reason="components not amazing", **fields)
             )
             continue
-        if not (symmetric(0, z1, zp1) and symmetric(1, z2, zp2)):
+        if not (ds_symmetric(I1, z1, zp1) and ds_symmetric(I2, z2, zp2)):
             records.append(
                 _record("product", P, "SKIP", reason="component DS not symmetric", **fields)
             )
             continue
         problems: list[str] = []
-        if not (amazing_in_product(z) and amazing_in_product(zp)):
+        if not (is_amazing(P, z) and is_amazing(P, zp)):
             problems.append("block sums not amazing in the product")
         if not shortcuts_factor(z1, z2):
             problems.append("z-shortcuts do not factor")
@@ -384,7 +373,7 @@ def verify_product(
             problems.append("inner shortcuts do not factor")
         if not problems and not inner_match(zps, zs):
             problems.append("reverse inner shortcuts do not factor")
-        if not problems and not symmetric_in_product(z, zp):
+        if not problems and not ds_symmetric(P, z, zp):
             problems.append("DS symmetry does not transfer")
         if problems:
             records.append(_record("product", P, "FAIL", witness="; ".join(problems), **fields))
