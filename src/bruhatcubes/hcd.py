@@ -29,18 +29,27 @@ by id: one of the two levels that the double expansion of
 the memoized kernels call the plain ``_shortcut_level``.
 
 The four predicates of the sweep run on permutation ids and take
-``(n, u, v, z)``, the rank and the ids of u, v and z.  ``_upper_hcd`` and
-``_r_element`` are memoized on those four ints; each reads [u, v] as
-``up[u] & down[v]``, so no ``Interval`` is built for a sub-interval.  The
-cluster test that ``_upper_hcd`` makes at each p is memoized on (n, p, the
-mask of the sources); ``spans_cluster`` is its unmemoized form on windows.
+``(n, u, v, z)``, the rank and the ids of u, v and z.  Each kernel reads
+[u, v] as ``up[u] & down[v]``, so no ``Interval`` is built for a
+sub-interval.  ``_r_element`` is memoized on the four ints.  ``_upper_hcd``
+is up-closed in the bottom: when it holds at u it holds at every u' in
+[u, z], because [z, v] is the same mask for every such u', and the diamonds
+and cluster sources of [u', v] outside [z, v] are among those of [u, v].  So
+it keeps one pair of masks over bottoms per (n, v, z), the good and the
+bad; an evaluation that holds at u adds up[u] to the good mask, one that
+fails adds down[u] to the bad, and a bottom in either is answered without
+evaluation.  The cluster test that ``_upper_hcd`` makes at each p is
+memoized on (n, p, the mask of the sources); ``spans_cluster`` is its
+unmemoized form on windows.
 
 ``_amazing`` and ``_amazing_r_element`` quantify over every x in [u, v]
 through the join j of z and x.  [z, v] is ``up[z] & down[v]``, so j, and
 the test of x, depend on (x, v, z) alone, not on u.  A row table, one per
 (kernel, n, v, z) and bounded in number, keeps two masks over x: the bits
 evaluated and the bad bits, where j is missing or ``kernel(n, x, v, j)``
-fails.  It grows lazily, like :meth:`RankIndex.distances`.  z is amazing in
+fails.  It grows lazily, like :meth:`RankIndex.distances`, from [z, v]:
+there x is its own join, and both kernels hold at (x, v, x), so those bits
+are good without a call.  z is amazing in
 [u, v] exactly when no bit of [u, v] is bad in the ``_upper_hcd`` row, whose
 bit u is ``_upper_hcd(n, u, v, z)`` itself, the join of z and u being z;
 ``_amazing_r_element`` adds the ``_r_element`` row.  A known bad bit answers
@@ -101,6 +110,13 @@ def _assignments(top: Perm, sources: tuple[Perm, ...], cap: int | None) -> list[
     Cells hold ids of the rank index.  The candidates for a cell are the AND
     of the ``in_mask`` rows of its assigned covers minus the used ids, tried
     in id order.  Stops after ``cap`` completions when set.
+
+    No search is known to offer a used id.  Without the mask, the search
+    finds no completion that repeats a vertex over the antichain families
+    of two or more arrows into every top of S4, S5 and S6 (86, 2,096 and
+    56,560 families) or over every family of two or more arrows into a top
+    of S4 and S5 (219 and 9,045).  The mask is kept: injectivity is part of
+    the definition.
     """
     index = rank_index(len(top))
     perms, inn = index.perms, index.in_mask
@@ -242,7 +258,15 @@ def _masks(n: int, u: int, v: int, z: int) -> tuple[RankIndex, int, int]:
 
 
 @lru_cache(maxsize=1 << 18)
-def _upper_hcd(n: int, u: int, v: int, z: int) -> bool:
+def _bottoms(n: int, v: int, z: int) -> list[int]:
+    """The bottoms of (v, z): [good, bad], two masks over u.  A bit u of
+    ``good`` is a bottom where ``_upper_hcd(n, u, v, z)`` holds, a bit of
+    ``bad`` one where it fails; bits of neither are not yet known."""
+    return [0, 0]
+
+
+def _decomposes(n: int, u: int, v: int, z: int) -> bool:
+    """The upper-decomposition test of z in [u, v], evaluated."""
     index, mask, zv = _masks(n, u, v, z)
     if not index.diamond_complete(mask, zv):
         return False
@@ -253,6 +277,29 @@ def _upper_hcd(n: int, u: int, v: int, z: int) -> bool:
         if sources and not _cluster(n, p, sources):
             return False
     return True
+
+
+def _upper_hcd(n: int, u: int, v: int, z: int) -> bool:
+    """Whether z is an upper decomposition of [u, v], for u <= z, read off
+    the bottom masks of (v, z) or evaluated once at u.
+
+    The test is up-closed in u: [z, v] is the same mask for every u' in
+    [u, z], and the diamonds and cluster sources of [u', v] lie outside
+    [z, v] within [u, v], so every antichain of them is one of [u, v].  An
+    evaluation that holds therefore marks all of up[u] good, and one that
+    fails all of down[u] bad.  At u = z nothing lies outside [z, v], so it
+    holds there, as the rows of :func:`_row_holds` assume."""
+    masks = _bottoms(n, v, z)
+    if masks[0] >> u & 1:
+        return True
+    if masks[1] >> u & 1:
+        return False
+    index = rank_index(n)
+    if _decomposes(n, u, v, z):
+        masks[0] |= index.up[u]
+        return True
+    masks[1] |= index.down[u]
+    return False
 
 
 def is_upper_hcd(I: Interval, z: Perm) -> bool:
@@ -318,18 +365,25 @@ def _join_id(up: tuple[int, ...], zv: int, x: int) -> int:
 @lru_cache(maxsize=1 << 13)
 def _row(kernel, n: int, v: int, z: int) -> list[int]:
     """The row of ``kernel`` for (v, z): [covered, bad], two masks over x.
-    A bit x of ``covered`` has been evaluated; it is set in ``bad`` when the
-    join j of z and x is missing or ``kernel(n, x, v, j)`` fails.  Evaluation
-    stops at a bad bit, so ``bad`` is mostly 0.  The 8,192 most recent rows
-    are kept: a long sampled S6 sweep reuses few of them, and more would
-    raise its peak memory."""
-    return [0, 0]
+    A bit x of ``covered`` is known; it is set in ``bad`` when the join j of
+    z and x is missing or ``kernel(n, x, v, j)`` fails.  A row starts with
+    [z, v] covered and good (see :func:`_row_holds`).  Evaluation stops at a
+    bad bit, so ``bad`` is mostly 0.  The 8,192 most recent rows are kept: a
+    long sampled S6 sweep reuses few of them, and more would raise its peak
+    memory."""
+    index = rank_index(n)
+    return [index.up[z] & index.down[v], 0]
 
 
 def _row_holds(kernel, n: int, v: int, z: int, xs: int) -> bool:
     """True iff no bit x of ``xs`` is bad in the row of ``kernel`` for
     (v, z).  A known bad bit answers at once; otherwise the bits not yet
-    covered are evaluated in id order, up to the first bad one."""
+    covered are evaluated in id order, up to the first bad one.
+
+    Every x in [z, v] is good without a call: its join with z is x itself,
+    and both kernels hold at (x, v, x).  ``_upper_hcd`` because nothing of
+    [x, v] lies outside [x, v], ``_r_element`` because every geodesic from x
+    starts at x, so the shortcut level is ((0, x),)."""
     row = _row(kernel, n, v, z)
     covered, bad = row
     if xs & bad:

@@ -20,9 +20,9 @@ one pass up the ids gives the down-sets and one pass down the up-sets.
 
 An :class:`Interval` [u, v] is then the mask ``up[u] & down[v]``, and every
 subset of it is a mask too: [z, v] is ``up[z] & mask``.  Ids follow
-(length, window), so ``elements`` lists the members in that order and the
-lowest set bit of a mask is its first member; ``least`` finds the
-Bruhat-minimum of a member set from it.
+(length, window), so ``elements``, built on first use, lists the members
+in that order, and the lowest set bit of a mask is its first member;
+``least`` finds the Bruhat-minimum of a member set from it.
 
 Distances are per bottom.  Arrows raise the order, so a directed path from u
 to p stays in [u, p], and d(u, p) and the members on u -> p geodesics depend
@@ -208,7 +208,11 @@ class Interval:
         self.uid = index.id[u]
         self.vid = index.id[v]
         self._hash = hash((u, v))
-        self.elements: tuple[Perm, ...] = tuple(self.members(mask))
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """The members, in element order; built on first use."""
+        return tuple(self.members(self.mask))
 
     # ---- identity -----------------------------------------------------
 
@@ -222,7 +226,7 @@ class Interval:
         return f"Interval[{format_perm(self.u)}, {format_perm(self.v)}]"
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     def __contains__(self, x: Perm) -> bool:
         i = self.index.id.get(x)

@@ -11,8 +11,11 @@ import json
 from typing import IO, Iterable
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def text_line(rec: dict) -> str:

@@ -26,7 +26,7 @@ from bruhatcubes.hcd import (
     standard_hcds,
 )
 from bruhatcubes.doubles import verify_bologna
-from bruhatcubes.interval import comparable_pairs, interval, interval_size
+from bruhatcubes.interval import RankIndex, comparable_pairs, interval, interval_size
 from bruhatcubes.permutations import identity, longest_element
 from bruhatcubes.polynomials import ONE
 from bruhatcubes.rpoly import rtilde
@@ -428,7 +428,9 @@ def test_rows_answer_covered_bits_without_kernel_calls(kernel_calls):
     top = interval(identity(5), w0)
     z = standard_hcds(top)[-1]
     assert is_amazing_r_element(top, z)
-    assert len(kernel_calls) == 2 * len(top)  # one per x for each row
+    # one per x outside [z, v] for each row; the x in [z, v] are their own join
+    outside = (top.mask & ~top.upper(z)).bit_count()
+    assert outside == 96 and len(kernel_calls) == 2 * outside
     kernel_calls.clear()
     below_z = [u for u in top.elements if top.leq(u, z)]
     for u in below_z:
@@ -457,3 +459,87 @@ def test_rows_answer_a_known_bad_bit_without_kernel_calls(kernel_calls):
                     assert kernel_calls == []
                     found += 1
     assert found
+
+
+# ---------------------------------------------------------------------------
+# bottom masks: one [good, bad] pair per (n, v, z), shared by every bottom u
+
+
+def _passes_to_higher_bottoms(u, v, z) -> bool:
+    """If z is an upper decomposition of [u, v], it is one of [w, v] for
+    every w in [u, z], by the oracle."""
+    if not upper_hcd_brute(u, v, z):
+        return True
+    members = interval_elements_brute(u, v)
+    return all(upper_hcd_brute(w, v, z) for w in members if subword_leq(w, z))
+
+
+def test_oracle_decompositions_pass_to_higher_bottoms_s4():
+    triples = 0
+    for u, v in comparable_pairs(4):
+        # z = u is its own join: both kernels hold there
+        assert upper_hcd_brute(u, v, u) and r_element_brute(u, v, u), (u, v)
+        for z in interval_elements_brute(u, v):
+            assert _passes_to_higher_bottoms(u, v, z), (u, v, z)
+            triples += 1
+    assert triples == 1_088
+
+
+@given(pair=comparable_pair(max_size=24), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_oracle_decompositions_pass_to_higher_bottoms_s5_s6(pair, data):
+    u, v = pair
+    members = sorted(interval_elements_brute(u, v))
+    x = data.draw(st.sampled_from(members), label="x")
+    assert upper_hcd_brute(x, v, x) and r_element_brute(x, v, x)
+    for z in members:
+        assert _passes_to_higher_bottoms(u, v, z), z
+
+
+@pytest.mark.parametrize("order", ["bottom-major", "top-down", "shuffled"])
+def test_bottom_masks_do_not_depend_on_visit_order(clear_memos, order):
+    pairs = {
+        "bottom-major": ROW_PAIRS,
+        "top-down": ROW_PAIRS[::-1],
+        "shuffled": random.Random(7).sample(ROW_PAIRS, len(ROW_PAIRS)),
+    }[order]
+    clear_memos()
+    for u, v in pairs:
+        I = interval(u, v)
+        for z in I.elements:
+            assert is_upper_hcd(I, z) == upper_hcd_brute(u, v, z), (u, v, z)
+
+
+@pytest.fixture
+def evaluations(clear_memos, monkeypatch):
+    """The masks of [u, v] at which ``_upper_hcd`` evaluates, from cleared
+    memos: every evaluation starts with one diamond test."""
+    clear_memos()
+    seen = []
+    diamond_complete = RankIndex.diamond_complete
+
+    def counted(index, mask, zv):
+        seen.append(mask)
+        return diamond_complete(index, mask, zv)
+
+    monkeypatch.setattr(RankIndex, "diamond_complete", counted)
+    return seen
+
+
+def test_one_evaluation_that_holds_answers_every_higher_bottom(evaluations):
+    w0 = longest_element(5)
+    top = interval(identity(5), w0)
+    z = standard_hcds(top)[-1]
+    below_z = [u for u in top.elements if top.leq(u, z)]
+    assert all(is_upper_hcd(interval(u, w0), z) for u in below_z)
+    assert len(below_z) == 16 and evaluations == [top.mask]
+
+
+def test_one_evaluation_that_fails_answers_every_lower_bottom(evaluations):
+    w0 = longest_element(4)
+    top = interval(identity(4), w0)
+    u = (3, 2, 4, 1)
+    assert not is_upper_hcd(interval(u, w0), w0)
+    below_u = [x for x in top.elements if top.leq(x, u)]
+    assert not any(is_upper_hcd(interval(x, w0), w0) for x in below_u)
+    assert len(below_u) == 12 and len(evaluations) == 1
