@@ -34,7 +34,6 @@ from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str
 from .hcd import (
     _join_id,
     _member_key,
-    _r_element,
     _row_holds,
     _rtilde_sum,
     enumerate_hcds,
@@ -245,9 +244,9 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
             "bologna", I, "SKIP", z=format_perm(z), z2=format_perm(zp), reason="pair not amazing"
         )
     hyp1 = is_amazing_r_element(I, z)
-    # the R-element row of (v, z') over [u, v] without u; z' is amazing, so
-    # every join exists
-    hyp2 = _row_holds(_r_element, I.n, I.vid, I.index.id[zp], I.mask & ~(1 << I.uid))
+    # the R-element join row of (v, z') over [u, v] without u; z' is
+    # amazing, so every join exists
+    hyp2 = _row_holds(I.n, I.vid, I.index.id[zp], I.mask & ~(1 << I.uid), r_element=True)
     hyp3 = ds_symmetric(I, z, zp)
     hyps = {"h1": hyp1, "h2": hyp2, "h3": hyp3}
     if not (hyp1 and hyp2 and hyp3):
@@ -289,7 +288,7 @@ def verify_product(
 
     A product repeats its values across pairs.  The amazing tests and DS
     symmetry, in the factors and in P, are answered by the process-wide
-    memos (the row tables of :mod:`~bruhatcubes.hcd` and
+    memos (the (v, z) tables of :mod:`~bruhatcubes.hcd` and
     ``_double_entries``).  The sets that no other memo holds are computed
     once per call, when a pair first needs them, in memos that live for the
     call: per factor and z, the shortcut ids; per factor and ordered

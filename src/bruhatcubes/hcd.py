@@ -31,31 +31,34 @@ the memoized kernels call the plain ``_shortcut_level``.
 The four predicates of the sweep run on permutation ids and take
 ``(n, u, v, z)``, the rank and the ids of u, v and z.  Each kernel reads
 [u, v] as ``up[u] & down[v]``, so no ``Interval`` is built for a
-sub-interval.  ``_r_element`` is memoized on the four ints.  ``_upper_hcd``
-is up-closed in the bottom: when it holds at u it holds at every u' in
-[u, z], because [z, v] is the same mask for every such u', and the diamonds
-and cluster sources of [u', v] outside [z, v] are among those of [u, v].  So
-it keeps one pair of masks over bottoms per (n, v, z), the good and the
-bad; an evaluation that holds at u adds up[u] to the good mask, one that
-fails adds down[u] to the bad, and a bottom in either is answered without
-evaluation.  The cluster test that ``_upper_hcd`` makes at each p is
-memoized on (n, p, the mask of the sources); ``spans_cluster`` is its
-unmemoized form on windows.
+sub-interval.  All four reduce to facts about (v, z) and one bottom, so they
+keep those facts in one table per (n, v, z), ``_table``: four pairs of masks
+over ids, grown lazily.
 
-``_amazing`` and ``_amazing_r_element`` quantify over every x in [u, v]
-through the join j of z and x.  [z, v] is ``up[z] & down[v]``, so j, and
-the test of x, depend on (x, v, z) alone, not on u.  A row table, one per
-(kernel, n, v, z) and bounded in number, keeps two masks over x: the bits
-evaluated and the bad bits, where j is missing or ``kernel(n, x, v, j)``
-fails.  It grows lazily, like :meth:`RankIndex.distances`, from [z, v]:
-there x is its own join, and both kernels hold at (x, v, x), so those bits
-are good without a call.  z is amazing in
-[u, v] exactly when no bit of [u, v] is bad in the ``_upper_hcd`` row, whose
-bit u is ``_upper_hcd(n, u, v, z)`` itself, the join of z and u being z;
-``_amazing_r_element`` adds the ``_r_element`` row.  A known bad bit answers
-at once, and evaluation stops at the first bad bit.  ``is_upper_hcd``,
-``is_amazing``, ``is_r_element`` and ``is_amazing_r_element`` look up the id
-of z, raise ``OrderError`` when z is not in the interval, and call these.
+- ``_upper_hcd`` keeps [good, bad] over the bottom u.  The test is up-closed
+  in u: when it holds at u it holds at every u' in [u, z], because [z, v] is
+  the same mask for every such u', and the diamonds and cluster sources of
+  [u', v] outside [z, v] are among those of [u, v].  An evaluation that holds
+  at u adds up[u] to the good mask, one that fails adds down[u] to the bad,
+  and a bottom in either is answered without evaluation.
+- ``_r_element`` keeps [good, bad] over u, one bit per evaluation.
+- ``_amazing`` and ``_amazing_r_element`` quantify over every x in [u, v]
+  through the join j of z and x.  [z, v] is ``up[z] & down[v]``, so j, and
+  the test of x, depend on (x, v, z) alone, not on u.  Two join rows, one
+  for ``_upper_hcd`` and one for ``_r_element``, keep [covered, bad] over x:
+  the bits evaluated and the bad bits, where j is missing or the kernel
+  fails at (x, v, j).  A row starts from [z, v], where x is its own join and
+  both kernels hold at (x, v, x), so those bits are good without a call.
+
+z is amazing in [u, v] exactly when no bit of [u, v] is bad in the
+``_upper_hcd`` row, whose bit u is ``_upper_hcd(n, u, v, z)`` itself, the
+join of z and u being z; ``_amazing_r_element`` adds the ``_r_element`` row.
+A known bad bit answers at once, and evaluation stops at the first bad bit.
+The cluster test that ``_upper_hcd`` makes at each p is memoized on (n, p,
+the mask of the sources); ``spans_cluster`` is its unmemoized form on
+windows.  ``is_upper_hcd``, ``is_amazing``, ``is_r_element`` and
+``is_amazing_r_element`` look up the id of z, raise ``OrderError`` when z is
+not in the interval, and call these.
 """
 
 from __future__ import annotations
@@ -257,12 +260,24 @@ def _masks(n: int, u: int, v: int, z: int) -> tuple[RankIndex, int, int]:
     return index, mask, index.up[z] & mask
 
 
+# slots of a (v, z) table: the bottom masks of _upper_hcd and _r_element,
+# then the join rows of the two kernels
+_HCD, _R, _HCD_ROW, _R_ROW = 0, 2, 4, 6
+
+
 @lru_cache(maxsize=1 << 18)
-def _bottoms(n: int, v: int, z: int) -> list[int]:
-    """The bottoms of (v, z): [good, bad], two masks over u.  A bit u of
-    ``good`` is a bottom where ``_upper_hcd(n, u, v, z)`` holds, a bit of
-    ``bad`` one where it fails; bits of neither are not yet known."""
-    return [0, 0]
+def _table(n: int, v: int, z: int) -> list[int]:
+    """The table of (v, z): four pairs of masks over ids.
+
+    ``[_HCD]`` and ``[_R]`` are [good, bad] over the bottom u, where
+    ``_upper_hcd`` and ``_r_element`` hold or fail at (u, v, z); ``[_HCD_ROW]``
+    and ``[_R_ROW]`` are [covered, bad] over x, the join rows of
+    :func:`_row_holds`, each starting with [z, v] covered and good.  Bits of
+    neither mask of a pair are not yet known.  The bound holds the 98,407
+    (v, z) pairs of S6."""
+    index = rank_index(n)
+    zv = index.up[z] & index.down[v]
+    return [0, 0, 0, 0, zv, 0, zv, 0]
 
 
 def _decomposes(n: int, u: int, v: int, z: int) -> bool:
@@ -281,24 +296,24 @@ def _decomposes(n: int, u: int, v: int, z: int) -> bool:
 
 def _upper_hcd(n: int, u: int, v: int, z: int) -> bool:
     """Whether z is an upper decomposition of [u, v], for u <= z, read off
-    the bottom masks of (v, z) or evaluated once at u.
+    the bottom masks of the (v, z) table or evaluated once at u.
 
     The test is up-closed in u: [z, v] is the same mask for every u' in
     [u, z], and the diamonds and cluster sources of [u', v] lie outside
     [z, v] within [u, v], so every antichain of them is one of [u, v].  An
     evaluation that holds therefore marks all of up[u] good, and one that
     fails all of down[u] bad.  At u = z nothing lies outside [z, v], so it
-    holds there, as the rows of :func:`_row_holds` assume."""
-    masks = _bottoms(n, v, z)
-    if masks[0] >> u & 1:
+    holds there, as the join rows of :func:`_row_holds` assume."""
+    table = _table(n, v, z)
+    if table[_HCD] >> u & 1:
         return True
-    if masks[1] >> u & 1:
+    if table[_HCD + 1] >> u & 1:
         return False
     index = rank_index(n)
     if _decomposes(n, u, v, z):
-        masks[0] |= index.up[u]
+        table[_HCD] |= index.up[u]
         return True
-    masks[1] |= index.down[u]
+    table[_HCD + 1] |= index.down[u]
     return False
 
 
@@ -362,35 +377,26 @@ def _join_id(up: tuple[int, ...], zv: int, x: int) -> int:
     return -1 if cone & ~up[k] else k
 
 
-@lru_cache(maxsize=1 << 13)
-def _row(kernel, n: int, v: int, z: int) -> list[int]:
-    """The row of ``kernel`` for (v, z): [covered, bad], two masks over x.
-    A bit x of ``covered`` is known; it is set in ``bad`` when the join j of
-    z and x is missing or ``kernel(n, x, v, j)`` fails.  A row starts with
-    [z, v] covered and good (see :func:`_row_holds`).  Evaluation stops at a
-    bad bit, so ``bad`` is mostly 0.  The 8,192 most recent rows are kept: a
-    long sampled S6 sweep reuses few of them, and more would raise its peak
-    memory."""
-    index = rank_index(n)
-    return [index.up[z] & index.down[v], 0]
-
-
-def _row_holds(kernel, n: int, v: int, z: int, xs: int) -> bool:
-    """True iff no bit x of ``xs`` is bad in the row of ``kernel`` for
-    (v, z).  A known bad bit answers at once; otherwise the bits not yet
-    covered are evaluated in id order, up to the first bad one.
+def _row_holds(n: int, v: int, z: int, xs: int, r_element: bool = False) -> bool:
+    """True iff the join j of z with every x of ``xs`` exists and
+    ``_upper_hcd(n, x, v, j)`` holds, or ``_r_element(n, x, v, j)`` when
+    ``r_element`` is set: no bit of ``xs`` is bad in that join row of the
+    (v, z) table.  A known bad bit answers at once; otherwise the bits not
+    yet covered are evaluated in id order, up to the first bad one.
 
     Every x in [z, v] is good without a call: its join with z is x itself,
     and both kernels hold at (x, v, x).  ``_upper_hcd`` because nothing of
     [x, v] lies outside [x, v], ``_r_element`` because every geodesic from x
     starts at x, so the shortcut level is ((0, x),)."""
-    row = _row(kernel, n, v, z)
-    covered, bad = row
+    table = _table(n, v, z)
+    slot = _R_ROW if r_element else _HCD_ROW
+    covered, bad = table[slot], table[slot + 1]
     if xs & bad:
         return False
     todo = xs & ~covered
     if not todo:
         return True
+    kernel = _r_element if r_element else _upper_hcd
     index = rank_index(n)
     up = index.up
     zv = up[z] & index.down[v]
@@ -399,9 +405,9 @@ def _row_holds(kernel, n: int, v: int, z: int, xs: int) -> bool:
         covered |= bit
         j = _join_id(up, zv, x)
         if j < 0 or not kernel(n, x, v, j):
-            row[0], row[1] = covered, bad | bit
+            table[slot], table[slot + 1] = covered, bad | bit
             return False
-    row[0] = covered
+    table[slot] = covered
     return True
 
 
@@ -412,7 +418,7 @@ def _amazing(n: int, u: int, v: int, z: int) -> bool:
     S6: wherever every join exists, the clause holds."""
     # the join of z and u is z, so the bit of u is the test _upper_hcd(n, u, v, z)
     index = rank_index(n)
-    return _row_holds(_upper_hcd, n, v, z, index.up[u] & index.down[v])
+    return _row_holds(n, v, z, index.up[u] & index.down[v])
 
 
 def is_amazing(I: Interval, z: Perm) -> bool:
@@ -474,10 +480,23 @@ def rtilde_z(I: Interval, z: Perm) -> QPoly:
     return _rtilde_sum(I.n, I.vid, shortcut_level(*_member_key(I, z)))
 
 
-@lru_cache(maxsize=1 << 18)
 def _r_element(n: int, u: int, v: int, z: int) -> bool:
+    """Whether z is an R-element of [u, v]: the sum of q^{d(u,p)} R-tilde(p, v)
+    over the shortcuts p for z equals R-tilde(u, v).
+
+    The answer is bit u of the R-element bottom masks of the (v, z) table,
+    evaluated once.  Only bit u is set: unlike an upper decomposition, an
+    R-element is not known to stay one at a higher or a lower bottom, since
+    both the shortcuts and R-tilde(u, v) change with u."""
+    table = _table(n, v, z)
+    if table[_R] >> u & 1:
+        return True
+    if table[_R + 1] >> u & 1:
+        return False
     perms = rank_index(n).perms
-    return _rtilde_sum(n, v, _shortcut_level(n, u, v, z)) == rtilde(perms[u], perms[v])
+    holds = _rtilde_sum(n, v, _shortcut_level(n, u, v, z)) == rtilde(perms[u], perms[v])
+    table[_R if holds else _R + 1] |= 1 << u
+    return holds
 
 
 def is_r_element(I: Interval, z: Perm) -> bool:
@@ -487,7 +506,7 @@ def is_r_element(I: Interval, z: Perm) -> bool:
 def _amazing_r_element(n: int, u: int, v: int, z: int) -> bool:
     index = rank_index(n)
     mask = index.up[u] & index.down[v]
-    return _row_holds(_upper_hcd, n, v, z, mask) and _row_holds(_r_element, n, v, z, mask)
+    return _row_holds(n, v, z, mask) and _row_holds(n, v, z, mask, r_element=True)
 
 
 def is_amazing_r_element(I: Interval, z: Perm) -> bool:

@@ -366,7 +366,7 @@ def test_amazing_r_element_builds_no_sub_intervals(built_intervals):
 
 
 # ---------------------------------------------------------------------------
-# row tables: one per (kernel, n, v, z), shared by every bottom u
+# join rows: two per (n, v, z) table, shared by every bottom u
 
 ROW_TOPS = ((4, 5, 1, 2, 3), (2, 5, 4, 3, 1))
 ROW_PAIRS = [p for p in comparable_pairs(5) if p[1] in ROW_TOPS and interval_size(*p) <= 24]
@@ -409,7 +409,7 @@ def test_row_tables_do_not_depend_on_visit_order(clear_memos):
 
 @pytest.fixture
 def kernel_calls(clear_memos, monkeypatch):
-    """The calls that the row tables make of ``_upper_hcd`` and
+    """The calls that the join rows make of ``_upper_hcd`` and
     ``_r_element``, from cleared memos."""
     clear_memos()
     calls = []
@@ -449,7 +449,7 @@ def test_rows_answer_a_known_bad_bit_without_kernel_calls(kernel_calls):
             if is_amazing(I, z):
                 continue
             zid = index.id[z]
-            bad = (hcd._row(hcd._upper_hcd, 4, I.vid, zid)[1] & I.mask).bit_length() - 1
+            bad = (hcd._table(4, I.vid, zid)[hcd._HCD_ROW + 1] & I.mask).bit_length() - 1
             assert bad >= 0
             # another bottom below z and the bad bit, with the same (v, z)
             for w in range(len(index.perms)):
@@ -461,8 +461,43 @@ def test_rows_answer_a_known_bad_bit_without_kernel_calls(kernel_calls):
     assert found
 
 
+def test_r_element_evaluates_once_per_triple(clear_memos, monkeypatch):
+    """From cleared memos, reading every predicate of every z of ROW_PAIRS
+    twice evaluates ``_r_element`` once per distinct (u, v, z): the answer
+    is a bit of the (v, z) table, kept for its own bottom only."""
+    clear_memos()
+    evaluated = []
+    level = hcd._shortcut_level
+
+    def counted(*key):
+        evaluated.append(key)
+        return level(*key)
+
+    monkeypatch.setattr(hcd, "_shortcut_level", counted)
+    readings = []
+    for _ in range(2):
+        for u, v in ROW_PAIRS:
+            I = interval(u, v)
+            readings.append([test(I, z) for z in I.elements for test in PREDICATES])
+    assert readings[: len(ROW_PAIRS)] == readings[len(ROW_PAIRS) :]
+    assert evaluated and len(evaluated) == len(set(evaluated))
+
+
+def test_r_element_answers_stay_with_their_bottom(clear_memos):
+    """z = 14352 is an R-element of [12435, 45132] but not of [12453, 45132],
+    a bottom one cover higher, so a result of ``_r_element`` cannot pass to
+    other bottoms as one of ``_upper_hcd`` does.  Either visit order reads
+    both right."""
+    u, w, v, z = (1, 2, 4, 3, 5), (1, 2, 4, 5, 3), (4, 5, 1, 3, 2), (1, 4, 3, 5, 2)
+    assert r_element_brute(u, v, z) and not r_element_brute(w, v, z)
+    for order in ((u, w), (w, u)):
+        clear_memos()
+        assert [is_r_element(interval(b, v), z) for b in order] == [b == u for b in order]
+
+
 # ---------------------------------------------------------------------------
-# bottom masks: one [good, bad] pair per (n, v, z), shared by every bottom u
+# bottom masks: the [good, bad] pair of _upper_hcd per (n, v, z), shared by
+# every bottom u
 
 
 def _passes_to_higher_bottoms(u, v, z) -> bool:
