@@ -1,15 +1,17 @@
 """Co-simple intervals, antichain-spanned hypercubes, and DH multisets.
 
 An interval is co-simple when the roots e_i - e_j labeling the lower covers
-of its top are linearly independent; rank is computed exactly over the
-integers (fraction-free elimination), never in floating point.
+of its top are linearly independent; the labels are read off the arrows of
+the rank index, and rank is computed exactly over the integers
+(fraction-free elimination), never in floating point.
 
 The hypercube family used for DH pairs a target p in [z, v] with every
 hypercube that is spanned by interval arrows into p whose sources are
 pairwise Bruhat-incomparable, has bottom equal to the interval bottom u, and
 whose vertex set meets [z, v] only at p.  Rank-0 hypercubes {p} are admitted
 and contribute exactly when p = u.  ``_hypercubes`` finds these pairs on
-permutation ids, memoized on ``(n, u, v, z)``, and :func:`hypercube_level`
+permutation ids, memoized per bottom u on ``(v, z)``
+(:func:`~bruhatcubes.interval.per_bottom`), and :func:`hypercube_level`
 reads (rank, p) off them: the level that the double expansion of
 :mod:`bruhatcubes.doubles` walks for DH.  DH(z, z') then collects
 (rank1 + rank2, b) over such pairs (H1, p) for [u, v] and (H2, b) for [p, v]
@@ -23,12 +25,10 @@ the orders to those labels.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .doubles import DegreeMultiset, _record, double_multiset, double_symmetric, multiset_entries
 from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcuts, spans_hypercube
-from .interval import Interval, bits
-from .permutations import Perm, format_perm, lower_neighbors, root
+from .interval import Interval, bits, per_bottom
+from .permutations import Perm, format_perm, root
 from .rpoly import constrained_orders, increasing_path_counts
 
 
@@ -63,8 +63,8 @@ def integer_rank(rows: list[tuple[int, ...]]) -> int:
 
 def coatom_root_matrix(I: Interval) -> list[tuple[int, ...]]:
     """One root row per lower cover of the interval top."""
-    arrows = lower_neighbors(I.v)
-    return [root(arrows[c], I.n) for c in sorted(I.covers_of(I.v))]
+    index, v = I.index, I.vid
+    return [root(index.arrows[index.id[c]][v], I.n) for c in sorted(I.covers_of(I.v))]
 
 
 def is_cosimple(I: Interval) -> bool:
@@ -76,7 +76,7 @@ def is_cosimple(I: Interval) -> bool:
 # antichain-spanned hypercubes
 
 
-@lru_cache(maxsize=1 << 16)
+@per_bottom
 def _hypercubes(n: int, u: int, v: int, z: int) -> tuple[tuple[HypercubeEmbedding, int], ...]:
     """(hypercube, id of p) for every antichain-spanned hypercube of [u, v]
     for z: for each p in [z, v], in id order, every antichain of the arrows

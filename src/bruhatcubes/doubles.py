@@ -6,15 +6,17 @@ level of :mod:`~bruhatcubes.hcd` or the hypercube level of
 :mod:`~bruhatcubes.appendix`.  :func:`double_expansion`, the one walk over a
 level, yields (a + c, p, b) for every (a, p) of [u, v] for z and every (c, b)
 of [p, v] for the join of z' and p; [p, v] stays a pair of ids.  DS(z, z')
-and DH(z, z') count (a + c, b) over it in one memo keyed on the level and the
-ids, the Bologna chain sums R-tilde over it, and the product check compares
-its (p, b) pairs.  Multisets are plain Counters keyed by (degree, element).
+and DH(z, z') count (a + c, b) over it in one memo of bottom u keyed on the
+level and the ids (:func:`~bruhatcubes.interval.per_bottom`), the Bologna
+chain sums R-tilde over it, and the product check compares its (p, b)
+pairs, those of the factors memoized per bottom too.  Multisets are plain
+Counters keyed by (degree, element).
 
 The product check repeats its values across the pairs of one product.
-:func:`verify_product` reads the amazing tests and DS symmetry from the
-process-wide memos, keeps the shortcut and double-expansion sets in memos
-that live for one call, and compares block sums as ids through the table
-``_block_ids``.
+:func:`verify_product` reads the amazing tests, DS symmetry and the
+factors' double-expansion sets from those memos, keeps in memos that live
+for one call whether shortcuts factor and whether the inner expansions
+match, and compares block sums as ids through the table ``_block_ids``.
 
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
@@ -28,7 +30,7 @@ from collections import Counter
 from functools import cache, lru_cache
 
 from .errors import OrderError
-from .interval import Interval, interval, rank_index
+from .interval import Interval, interval, per_bottom, rank_index
 from .permutations import Perm, direct_sum, format_perm
 from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str
 from .hcd import (
@@ -71,8 +73,8 @@ def double_expansion(level, n: int, u: int, v: int, z: int, zp: int):
             yield a + c, p, b
 
 
-@lru_cache(maxsize=1 << 16)
-def _double_entries(level, n: int, u: int, v: int, z: int, zp: int) -> tuple:
+@per_bottom
+def _double_entries(n: int, u: int, level, v: int, z: int, zp: int) -> tuple:
     perms = rank_index(n).perms
     out = Counter((d, perms[b]) for d, _, b in double_expansion(level, n, u, v, z, zp))
     return tuple(sorted(out.items()))
@@ -82,7 +84,7 @@ def double_multiset(level, I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
     """The multiset of (degree, b) over the double expansion of (z, z')."""
     I.require(z, zp)
     ids = I.index.id
-    return Counter(dict(_double_entries(level, I.n, I.uid, I.vid, ids[z], ids[zp])))
+    return Counter(dict(_double_entries(I.n, I.uid, level, I.vid, ids[z], ids[zp])))
 
 
 def ds_multiset(I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
@@ -96,7 +98,7 @@ def double_symmetric(level, I: Interval, z: Perm, zp: Perm) -> bool:
     I.require(z, zp)
     n, u, v, ids = I.n, I.uid, I.vid, I.index.id
     z, zp = ids[z], ids[zp]
-    return _double_entries(level, n, u, v, z, zp) == _double_entries(level, n, u, v, zp, z)
+    return _double_entries(n, u, level, v, z, zp) == _double_entries(n, u, level, v, zp, z)
 
 
 def ds_symmetric(I: Interval, z: Perm, zp: Perm) -> bool:
@@ -286,15 +288,13 @@ def verify_product(
     checked in both directions, and DS symmetry of the pair in the product is
     required whenever it holds componentwise.
 
-    A product repeats its values across pairs.  The amazing tests and DS
-    symmetry, in the factors and in P, are answered by the process-wide
-    memos (the (v, z) tables of :mod:`~bruhatcubes.hcd` and
-    ``_double_entries``).  The sets that no other memo holds are computed
-    once per call, when a pair first needs them, in memos that live for the
-    call: per factor and z, the shortcut ids; per factor and ordered
-    (z, z'), the (p, b) ids of the double expansion; per block sum z,
-    whether its shortcuts factor; per ordered (z, z'), the inner match.
-    Block sums of ids are read from ``_block_ids``.
+    A product repeats its values across pairs.  The amazing tests, DS
+    symmetry and the shortcut levels, in the factors and in P, and the
+    (p, b) ids of the factors' double expansions are answered by the
+    (v, z) tables of :mod:`~bruhatcubes.hcd` and the per-bottom memos.  Two
+    memos live for the call: per block sum z, whether its shortcuts factor;
+    per ordered (z, z'), the inner match.  Block sums of ids are read from
+    ``_block_ids``.
     """
     P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
     records: list[dict] = []
@@ -312,23 +312,14 @@ def verify_product(
         [format_perm(I1.u), format_perm(I1.v)],
         [format_perm(I2.u), format_perm(I2.v)],
     ]
-    sides = (I1, I2)
     block = _block_ids(I1.n, I2.n)
-
-    @cache
-    def factor_shortcuts(side: int, z: Perm) -> frozenset[int]:
-        return _shortcut_ids(sides[side], z)
-
-    @cache
-    def factor_pairs(side: int, z: Perm, zp: Perm) -> frozenset[tuple[int, int]]:
-        return _expansion_pairs(sides[side], z, zp)
 
     @cache
     def shortcuts_factor(z1: Perm, z2: Perm) -> bool:
         # W^z in the product equals the block sums of the component shortcuts
-        w1, w2 = factor_shortcuts(0, z1), factor_shortcuts(1, z2)
-        expected = {block[a][b] for a in w1 for b in w2}
-        return _shortcut_ids(P, direct_sum(z1, z2)) == expected
+        w1, w2 = shortcut_level(*_member_key(I1, z1)), shortcut_level(*_member_key(I2, z2))
+        expected = {block[a][b] for _, a in w1 for _, b in w2}
+        return {p for _, p in shortcut_level(*_member_key(P, direct_sum(z1, z2)))} == expected
 
     @cache
     def inner_match(zs: tuple[Perm, Perm], zps: tuple[Perm, Perm]) -> bool:
@@ -337,12 +328,12 @@ def verify_product(
         # z-shortcuts factor, so both sides group their pairs by the same p,
         # and it says that for every p the shortcuts of [p, V] for the join
         # of z' and p factor
-        pairs1 = factor_pairs(0, zs[0], zps[0])
-        pairs2 = factor_pairs(1, zs[1], zps[1])
+        pairs1 = _expansion_pairs(*_pair_key(I1, zs[0], zps[0]))
+        pairs2 = _expansion_pairs(*_pair_key(I2, zs[1], zps[1]))
         expected = {
             (block[p1][p2], block[b1][b2]) for p1, b1 in pairs1 for p2, b2 in pairs2
         }
-        return _expansion_pairs(P, direct_sum(*zs), direct_sum(*zps)) == expected
+        return _expansion_ids(*_pair_key(P, direct_sum(*zs), direct_sum(*zps))) == expected
 
     for zs, zps in pairs:
         (z1, z2), (zp1, zp2) = zs, zps
@@ -392,13 +383,17 @@ def _block_ids(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _shortcut_ids(I: Interval, z: Perm) -> frozenset[int]:
-    """The ids of the shortcuts for z, read off the shortcut level."""
-    return frozenset(p for _, p in shortcut_level(*_member_key(I, z)))
-
-
-def _expansion_pairs(I: Interval, z: Perm, zp: Perm) -> frozenset[tuple[int, int]]:
+def _expansion_ids(n: int, u: int, v: int, z: int, zp: int) -> frozenset[tuple[int, int]]:
     """The (p, b) of the double expansion of (z, z') over shortcuts, by id."""
+    return frozenset((p, b) for _, p, b in double_expansion(shortcut_level, n, u, v, z, zp))
+
+
+# the pairs of a factor recur in every product it is part of; those of a
+# product are read once, by the inner match of its call, and skip this memo
+_expansion_pairs = per_bottom(_expansion_ids)
+
+
+def _pair_key(I: Interval, z: Perm, zp: Perm) -> tuple[int, int, int, int, int]:
+    """(n, u, v, z, z') by id, for z and z' in I."""
     ids = I.index.id
-    walk = double_expansion(shortcut_level, I.n, I.uid, I.vid, ids[z], ids[zp])
-    return frozenset((p, b) for _, p, b in walk)
+    return I.n, I.uid, I.vid, ids[z], ids[zp]

@@ -25,8 +25,10 @@ against its own up-set, and shortcuts read the geodesic masks of the
 bottom, shared by every interval with that bottom.  The shortcut level
 ``shortcut_level(n, u, v, z)`` is ((d(u, p), p), ...) over the shortcuts p,
 by id: one of the two levels that the double expansion of
-:mod:`bruhatcubes.doubles` walks.  It is memoized for unmemoized callers;
-the memoized kernels call the plain ``_shortcut_level``.
+:mod:`bruhatcubes.doubles` walks.  It is a per-bottom memo of the rank
+index (:func:`~bruhatcubes.interval.per_bottom`), dropped once the sweep
+passes u; ``_r_element``, which keeps its own answer, calls the plain
+``_shortcut_level``.
 
 The four predicates of the sweep run on permutation ids and take
 ``(n, u, v, z)``, the rank and the ids of u, v and z.  Each kernel reads
@@ -68,7 +70,7 @@ from functools import lru_cache
 from typing import AbstractSet, Iterator
 
 from .errors import OrderError
-from .interval import Interval, RankIndex, bits, rank_index
+from .interval import Interval, RankIndex, bits, per_bottom, rank_index
 from .permutations import Perm, format_perm, lower_neighbors
 from .polynomials import QPoly, ZERO, padd, pshift
 from .rpoly import rtilde
@@ -440,8 +442,9 @@ def _shortcut_level(n: int, u: int, v: int, z: int) -> tuple[tuple[int, int], ..
     return tuple((depth[p], p) for p in bits(zv) if geo[p] & zv == 1 << p)
 
 
-# for unmemoized callers: in a memoized kernel this memo would duplicate its own
-shortcut_level = lru_cache(maxsize=1 << 18)(_shortcut_level)
+# for unmemoized callers: ``_r_element`` keeps its answer, so this memo would
+# duplicate its own
+shortcut_level = per_bottom(_shortcut_level)
 
 
 def shortcuts(I: Interval, z: Perm) -> frozenset[Perm]:

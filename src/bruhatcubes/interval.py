@@ -11,7 +11,8 @@ The index (:func:`rank_index`) numbers the n! permutations of a rank by
 * ``where[i][a]``: the ids whose window has value a at position i + 1, so
   a coset of a parabolic subgroup fixing one entry is one mask;
 * ``right[t][i]``: the id of ``perms[i] * t`` for each reflection t, built
-  on first use.
+  on first use;
+* ``memos[u]``: the memos of bottom u (see below).
 
 It is built once from :func:`~bruhatcubes.permutations.lower_neighbors`.
 Bruhat order is the transitive closure of the arrows, and every arrow
@@ -24,13 +25,24 @@ subset of it is a mask too: [z, v] is ``up[z] & mask``.  Ids follow
 in that order, and the lowest set bit of a mask is its first member;
 ``least`` finds the Bruhat-minimum of a member set from it.
 
-Distances are per bottom.  Arrows raise the order, so a directed path from u
-to p stays in [u, p], and d(u, p) and the members on u -> p geodesics depend
-on u and p alone.  :meth:`RankIndex.distances` keeps for each bottom u, by
-id, ``depth[p]`` = d(u, p) and ``geo[p]``: bit p together with ``geo[c]``
-for every arrow c -> p with ``depth[c] == depth[p] - 1``.  The table of u
-grows on demand to cover [u, v] and is shared by every interval with bottom
-u.
+Memos are per bottom.  :func:`per_bottom` memoizes a function
+``fn(n, u, *rest)`` in ``memos[u]`` of the rank-n index, under the key
+``(fn, rest)``: the shortcut levels of :mod:`~bruhatcubes.hcd`, the
+antichain hypercubes of :mod:`~bruhatcubes.appendix`, the double-expansion
+entries and pairs of :mod:`~bruhatcubes.doubles` and the label passes of
+:mod:`~bruhatcubes.rpoly` live there, beside the distance tables below.  A
+check of [u, v] reads only the memos of bottoms in [u, v], whose ids are at
+least u.  So :meth:`RankIndex.forget_below`, which the sweep calls whenever
+its bottom changes, drops none that a sweep visiting the bottoms in id
+order reads again.
+
+Distances are per bottom too.  Arrows raise the order, so a directed path
+from u to p stays in [u, p], and d(u, p) and the members on u -> p
+geodesics depend on u and p alone.  :meth:`RankIndex.distances` keeps in
+the memo of each bottom u, by id, ``depth[p]`` = d(u, p) and ``geo[p]``:
+bit p together with ``geo[c]`` for every arrow c -> p with
+``depth[c] == depth[p] - 1``.  The table of u grows on demand to cover
+[u, v] and is shared by every interval with bottom u.
 
 The Perm-keyed views ``up``, ``down``, ``in_nbrs``, ``out_nbrs``, ``labels``
 and ``dist`` are thin reads of the index and those tables, built on first
@@ -43,7 +55,8 @@ instances; no other memo is keyed on an interval.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from collections import defaultdict
+from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
 
 from .errors import OrderError
@@ -110,7 +123,7 @@ class RankIndex:
         self.up: tuple[int, ...] = tuple(up)
         self.down: tuple[int, ...] = tuple(down)
         self.where: tuple[tuple[int, ...], ...] = tuple(map(tuple, where))
-        self._bottoms: dict[int, list] = {}
+        self.memos: defaultdict[int, dict] = defaultdict(dict)
 
     @cached_property
     def right(self) -> dict[Reflection, tuple[int, ...]]:
@@ -135,9 +148,10 @@ class RankIndex:
         id order: the sources of the arrows into p within [u, p] have
         smaller ids and are settled first.
         """
-        entry = self._bottoms.get(u)
+        memo = self.memos[u]
+        entry = memo.get("distances")
         if entry is None:
-            entry = self._bottoms[u] = [1 << u, {u: 0}, {u: 1 << u}]
+            entry = memo["distances"] = [1 << u, {u: 0}, {u: 1 << u}]
         covered, depth, geo = entry
         cone = self.up[u]
         todo = cone & self.down[v] & ~covered
@@ -154,6 +168,12 @@ class RankIndex:
                 geo[p] = g
             entry[0] = covered | todo
         return depth, geo
+
+    def forget_below(self, u: int) -> None:
+        """Drop the memos of every bottom with an id below u."""
+        memos = self.memos
+        for k in [k for k in memos if k < u]:
+            del memos[k]
 
     def diamond_complete(self, mask: int, zv: int) -> bool:
         """True iff every diamond x -> a, b -> y with a, b and y in ``zv``
@@ -179,6 +199,24 @@ def rank_index(n: int) -> RankIndex:
     if n > MAX_RANK:
         raise OrderError(f"rank {n} beyond the supported bound {MAX_RANK}")
     return RankIndex(n)
+
+
+def per_bottom(fn):
+    """Memoize ``fn(n, u, *rest)`` in the memo of bottom u of the rank-n
+    index, under the key ``(fn, rest)``, until
+    :meth:`RankIndex.forget_below` drops that bottom."""
+
+    @wraps(fn)
+    def memoized(n: int, u: int, *rest):
+        memo = rank_index(n).memos[u]
+        key = fn, rest
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(n, u, *rest)
+            return value
+
+    return memoized
 
 
 def _span(u: Perm, v: Perm) -> tuple[RankIndex, int]:
@@ -382,8 +420,9 @@ class Interval:
         self.require(x, y)
         if not self.leq(x, y):
             raise OrderError(f"{format_perm(x)} is not below {format_perm(y)}")
-        up_x, arrows = self.upper(x), lower_neighbors(y)
-        return frozenset(arrows[c] for c in self.covers_of(y) if up_x >> self.index.id[c] & 1)
+        up_x, ids, arrows = self.upper(x), self.index.id, self.index.arrows
+        top = ids[y]
+        return frozenset(arrows[ids[c]][top] for c in self.covers_of(y) if up_x >> ids[c] & 1)
 
     # ---- diamond completeness ------------------------------------------
 

@@ -16,8 +16,8 @@ path from u is fixed by its set of labels, so every count is at most 2^N,
 N = n(n-1)/2 the number of reflections; limbs of N + 1 bits therefore never
 carry.  Every arrow raises the order, so an increasing path from u to v
 stays in [u, v]: ``rtilde_dyer`` reads v off a pass over all of up[u],
-memoized for the three canonical orders of the current bottom (the first
-interval of a bottom runs it over [u, v] alone), and
+a per-bottom memo of the rank index on the order, dropped once the sweep
+passes u (the first interval of a bottom runs it over [u, v] alone), and
 ``increasing_path_counts`` runs the pass over [u, v] with [z, v] absorbing.
 
 A reflection order on rank n lists all n(n-1)/2 transpositions so that
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .cache import PolyCache
 from .errors import OrderError, WordError
-from .interval import Interval, bits, rank_index
+from .interval import Interval, bits, per_bottom, rank_index
 from .permutations import (
     Perm,
     Reflection,
@@ -219,11 +219,10 @@ def _label_pass(
     return counts
 
 
-@lru_cache(maxsize=3)
+@per_bottom
 def _passes(n: int, u: int, order: ReflectionOrder) -> list:
-    """The label pass of bottom u: [mask, counts], empty until
-    :func:`rtilde_dyer` runs it.  The memo holds one pass for each of the
-    three canonical orders of the current bottom."""
+    """The label pass of bottom u for ``order``: [mask, counts], empty
+    until :func:`rtilde_dyer` runs it."""
     return [0, {}]
 
 

@@ -314,8 +314,15 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
     interval_checks = [c for c in cfg.checks if c in _CHECK_FUNCS]
     records: list[dict] = []
     if interval_checks:
+        bottom = None
         for pair in sweep_pairs(cfg):
             I = interval(*pair)
+            if I.uid != bottom:
+                # a check of [u, v] reads no memo of a bottom below u, and
+                # exhaustive mode visits the bottoms in id order, so there
+                # the memos dropped here are never read again
+                bottom = I.uid
+                I.index.forget_below(bottom)
             for name in interval_checks:
                 start = time.perf_counter()
                 recs = _CHECK_FUNCS[name](I)

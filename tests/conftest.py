@@ -1,3 +1,4 @@
+import gc
 import importlib
 import os
 
@@ -18,20 +19,23 @@ if os.environ.get("BRUHAT_TEST_PROFILE"):
 
 
 def _clear_memos() -> None:
-    """Clear every memo of ``hcd``, ``doubles`` and ``appendix`` and the
-    interval factory."""
+    """Clear every memo of ``hcd``, ``doubles`` and ``appendix``, the
+    interval factory and the per-bottom memos of every rank index built."""
     for name in ("hcd", "doubles", "appendix"):
         module = importlib.import_module(f"bruhatcubes.{name}")
         for memo in vars(module).values():
             if hasattr(memo, "cache_clear"):
                 memo.cache_clear()
     interval_module.interval.cache_clear()
+    for obj in gc.get_objects():
+        if isinstance(obj, interval_module.RankIndex):
+            obj.memos.clear()
 
 
 @pytest.fixture
 def clear_memos():
     """The function that clears every memo of ``hcd``, ``doubles`` and
-    ``appendix`` and the interval factory."""
+    ``appendix``, the interval factory and the per-bottom memos."""
     return _clear_memos
 
 
@@ -39,9 +43,9 @@ def clear_memos():
 def built_intervals(monkeypatch):
     """The (u, v) of every ``Interval`` built in the test, in build order.
 
-    Every memo of ``hcd``, ``doubles`` and ``appendix`` and the interval
-    factory are cleared first, so that no result computed by an earlier test
-    hides a build.
+    Every memo of ``hcd``, ``doubles`` and ``appendix``, the interval
+    factory and the per-bottom memos are cleared first, so that no result
+    computed by an earlier test hides a build.
     """
     _clear_memos()
     built = []

@@ -400,3 +400,61 @@ def test_interval_factory_holds_a_bounded_number_along_a_sweep(capsys):
     # room for the 361 product intervals of rank 6 and their 19 factors
     assert bound is not None and bound >= 361 + 19
     assert live() - before <= bound
+
+
+class _Memo(dict):
+    """The memo of one bottom, recording (bottom, key) for each store."""
+
+    def __init__(self, stored: list, bottom: int):
+        super().__init__()
+        self.stored, self.bottom = stored, bottom
+
+    def __setitem__(self, key, value):
+        self.stored.append((self.bottom, key))
+        super().__setitem__(key, value)
+
+
+class _Memos(dict):
+    """``RankIndex.memos`` that makes a recording memo for each bottom."""
+
+    def __init__(self, stored: list):
+        super().__init__()
+        self.stored = stored
+
+    def __missing__(self, bottom):
+        memo = self[bottom] = _Memo(self.stored, bottom)
+        return memo
+
+
+@pytest.mark.parametrize(
+    "n, checks",
+    [
+        (4, "dyer,standard-hcd,congettura,em0,strong-ds,bologna,product,cosimple-dh,hw-bijection"),
+        (5, "dyer,standard-hcd,congettura,em0,strong-ds"),
+    ],
+)
+def test_exhaustive_sweep_evaluates_each_bottom_memo_once(clear_memos, monkeypatch, n, checks):
+    """An exhaustive sweep forgets the memos of the bottoms below each new
+    bottom.  From cold memos, no per-bottom entry is stored twice, so no
+    forgotten entry is read again, and after each check no memo of a bottom
+    below the interval's remains."""
+    from bruhatcubes import sweep
+
+    clear_memos()
+    index = rank_index(n)
+    stored: list = []
+    monkeypatch.setattr(index, "memos", _Memos(stored))
+    left = []
+    for name, check in list(sweep._CHECK_FUNCS.items()):
+
+        def watched(I, check=check):
+            records = check(I)
+            left.extend((I.uid, k) for k in index.memos if k < I.uid)
+            return records
+
+        monkeypatch.setitem(sweep._CHECK_FUNCS, name, watched)
+    cfg = sweep.SweepConfig(n=n, checks=tuple(checks.split(",")), mode="exhaustive")
+    assert sweep.run_sweep(cfg)[2] == 0
+    assert stored
+    assert len(set(stored)) == len(stored)
+    assert not left
