@@ -24,6 +24,11 @@ their work.  An unterminated last line that is not such a record or fails
 its check, as an interrupted append leaves it, is cut off when the file is
 opened; a bad line anywhere else is an error.
 
+In memory the entries are rows by top, ``{v: {u: poly}}``, with no pair
+tuple per entry.  Every window and polynomial the memo stores, computed or
+loaded, goes through one intern table, so the memo holds one object per
+distinct value: all of S6 keeps 720 windows and 81 polynomials.
+
 The environment variable ``BRUHAT_CACHE`` supplies the command line's default
 path (``--cache PATH``); only ``cli._configure_cache`` reads it, so importing
 the package opens no file.  An empty value counts as unset.
@@ -53,10 +58,13 @@ _RECORD = re.compile(
 
 
 class PolyCache:
-    """Dict-backed polynomial memo, optionally mirrored to a JSON-lines file."""
+    """Polynomial memo in rows by top, optionally mirrored to a JSON-lines file."""
 
     def __init__(self, path: str | None = None):
-        self._memo: dict[tuple[Perm, Perm], QPoly] = {}
+        self._rows: dict[Perm, dict[Perm, QPoly]] = {}
+        # one object per distinct window and polynomial, computed or loaded
+        self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._size = 0
         self._path = path
         self._fh = None
         if path is not None:
@@ -65,6 +73,7 @@ class PolyCache:
     def _open(self, path: str) -> None:
         if os.path.exists(path) and os.path.getsize(path) > 0:
             ended = self._load(path)
+            self._size = sum(map(len, self._rows.values()))
             self._fh = open(path, "ab", buffering=0)
             if not ended:
                 # a whole last record without its line break: end it, so
@@ -85,11 +94,10 @@ class PolyCache:
                 raise CacheError(f"{path}: bad cache header") from exc
             if type(version) is not int or version != CACHE_VERSION:
                 raise CacheError(f"{path}: unsupported cache_version {version!r}")
-            # each distinct window and coefficient list is parsed once per load,
-            # so equal polynomials share one tuple
-            windows = _Parsed(_window)
-            polys = _Parsed(_coeffs)
-            memo = self._memo
+            # each distinct window and coefficient list is parsed once per load
+            windows = _Parsed(_window, self._shared)
+            polys = _Parsed(_coeffs, self._shared)
+            rows = self._rows
             match = _RECORD.fullmatch
             crc32 = zlib.crc32
             for line in fh:
@@ -105,7 +113,10 @@ class PolyCache:
                     u, v = windows[m[3]], windows[m[4]]
                     if not len(u) == len(v) == int(m[2]):
                         raise ValueError("rank n does not match the windows")
-                    memo[u, v] = polys[m[5]]
+                    row = rows.get(v)
+                    if row is None:
+                        row = rows[v] = {}
+                    row[u] = polys[m[5]]
                 except ValueError as exc:
                     if not line.endswith(b"\n"):
                         # only the last line lacks its line break: this is the
@@ -121,15 +132,21 @@ class PolyCache:
         return self._path
 
     def __len__(self) -> int:
-        return len(self._memo)
+        return self._size
 
     def get(self, u: Perm, v: Perm) -> QPoly | None:
-        return self._memo.get((u, v))
+        row = self._rows.get(v)
+        return None if row is None else row.get(u)
 
     def put(self, u: Perm, v: Perm, poly: QPoly) -> None:
-        if (u, v) in self._memo:
+        share = self._shared.setdefault
+        row = self._rows.get(v)
+        if row is None:
+            row = self._rows[share(v, v)] = {}
+        elif u in row:
             return
-        self._memo[(u, v)] = poly
+        row[share(u, u)] = share(poly, poly)
+        self._size += 1
         if self._fh is not None:
             body = (
                 f'{{"n": {len(u)}, "u": "{format_perm(u)}", "v": "{format_perm(v)}", '
@@ -152,14 +169,17 @@ class PolyCache:
 
 
 class _Parsed(dict):
-    """``{text: value}`` that parses each text on its first lookup only."""
+    """``{text: value}`` that parses each text on its first lookup only and
+    takes the value's object from the intern table ``shared``."""
 
-    def __init__(self, parse):
+    def __init__(self, parse, shared: dict):
         super().__init__()
         self._parse = parse
+        self._shared = shared
 
     def __missing__(self, text: bytes):
-        value = self[text] = self._parse(text)
+        value = self._parse(text)
+        value = self[text] = self._shared.setdefault(value, value)
         return value
 
 

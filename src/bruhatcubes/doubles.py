@@ -13,10 +13,10 @@ pairs, those of the factors memoized per bottom too.  Multisets are plain
 Counters keyed by (degree, element).
 
 The product check repeats its values across the pairs of one product.
-:func:`verify_product` reads the amazing tests, DS symmetry and the
-factors' double-expansion sets from those memos, keeps in memos that live
-for one call whether shortcuts factor and whether the inner expansions
-match, and compares block sums as ids through the table ``_block_ids``.
+:func:`verify_product` reads the factors' double-expansion sets from
+those memos, keeps in memos that live for one call the amazing tests, DS
+symmetry, whether shortcuts factor and whether the inner expansions match,
+and compares block sums as ids through the table ``_block_ids``.
 
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
@@ -288,13 +288,13 @@ def verify_product(
     checked in both directions, and DS symmetry of the pair in the product is
     required whenever it holds componentwise.
 
-    A product repeats its values across pairs.  The amazing tests, DS
-    symmetry and the shortcut levels, in the factors and in P, and the
-    (p, b) ids of the factors' double expansions are answered by the
-    (v, z) tables of :mod:`~bruhatcubes.hcd` and the per-bottom memos.  Two
-    memos live for the call: per block sum z, whether its shortcuts factor;
-    per ordered (z, z'), the inner match.  Block sums of ids are read from
-    ``_block_ids``.
+    A product repeats its values across pairs.  The shortcut levels, in the
+    factors and in P, and the (p, b) ids of the factors' double expansions
+    are answered by the (v, z) tables of :mod:`~bruhatcubes.hcd` and the
+    per-bottom memos.  Four memos live for the call: per (interval, z), the
+    amazing test; per (interval, z, z'), DS symmetry; per block sum z,
+    whether its shortcuts factor; per ordered (z, z'), the inner match.
+    Block sums of ids are read from ``_block_ids``.
     """
     P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
     records: list[dict] = []
@@ -313,6 +313,8 @@ def verify_product(
         [format_perm(I2.u), format_perm(I2.v)],
     ]
     block = _block_ids(I1.n, I2.n)
+    amazing = cache(is_amazing)
+    symmetric = cache(ds_symmetric)
 
     @cache
     def shortcuts_factor(z1: Perm, z2: Perm) -> bool:
@@ -340,20 +342,18 @@ def verify_product(
         z = direct_sum(z1, z2)
         zp = direct_sum(zp1, zp2)
         fields = {"factors": factors, "z": format_perm(z), "z2": format_perm(zp)}
-        if not (
-            is_amazing(I1, z1) and is_amazing(I2, z2) and is_amazing(I1, zp1) and is_amazing(I2, zp2)
-        ):
+        if not (amazing(I1, z1) and amazing(I2, z2) and amazing(I1, zp1) and amazing(I2, zp2)):
             records.append(
                 _record("product", P, "SKIP", reason="components not amazing", **fields)
             )
             continue
-        if not (ds_symmetric(I1, z1, zp1) and ds_symmetric(I2, z2, zp2)):
+        if not (symmetric(I1, z1, zp1) and symmetric(I2, z2, zp2)):
             records.append(
                 _record("product", P, "SKIP", reason="component DS not symmetric", **fields)
             )
             continue
         problems: list[str] = []
-        if not (is_amazing(P, z) and is_amazing(P, zp)):
+        if not (amazing(P, z) and amazing(P, zp)):
             problems.append("block sums not amazing in the product")
         if not shortcuts_factor(z1, z2):
             problems.append("z-shortcuts do not factor")
@@ -363,7 +363,7 @@ def verify_product(
             problems.append("inner shortcuts do not factor")
         if not problems and not inner_match(zps, zs):
             problems.append("reverse inner shortcuts do not factor")
-        if not problems and not ds_symmetric(P, z, zp):
+        if not problems and not symmetric(P, z, zp):
             problems.append("DS symmetry does not transfer")
         if problems:
             records.append(_record("product", P, "FAIL", witness="; ".join(problems), **fields))

@@ -94,9 +94,14 @@ class SweepConfig:
 
 
 def validate_config(cfg: SweepConfig) -> None:
+    if "" in cfg.checks:
+        raise ConfigError("empty check name in the check list")
     unknown = [c for c in cfg.checks if c not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+    repeated = [c for i, c in enumerate(cfg.checks) if c in cfg.checks[:i]]
+    if repeated:
+        raise ConfigError(f"repeated checks: {', '.join(dict.fromkeys(repeated))}")
     if not cfg.checks:
         raise ConfigError("no checks selected")
     if cfg.mode not in ("exhaustive", "sample"):

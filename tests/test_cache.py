@@ -91,6 +91,76 @@ def test_s5_cache_file_bytes_are_pinned_and_reload_shared(tmp_path):
     assert len({id(p) for p in polys}) == len(set(polys))
 
 
+def _held(memo: PolyCache):
+    """The windows and the polynomials the memo holds, one item per slot."""
+    windows = [w for v, row in memo._rows.items() for w in (v, *row)]
+    polys = [p for row in memo._rows.values() for p in row.values()]
+    return windows, polys
+
+
+def _held_once(values) -> bool:
+    return len({id(x) for x in values}) == len(set(values))
+
+
+def test_computed_memo_holds_each_value_once(fresh_cache):
+    s5 = list(all_perms(5))
+    for u in s5:
+        for v in s5:
+            rtilde(u, v)
+    windows, polys = _held(fresh_cache)
+    assert len(fresh_cache) == len(polys) == 3781  # the comparable pairs
+    assert len(set(windows)) == 120
+    assert _held_once(windows) and _held_once(polys)
+
+
+def test_loaded_and_computed_values_share_one_object(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    writer = PolyCache(str(path))
+    old = set_cache(writer)
+    try:
+        e = identity(4)
+        for v in all_perms(4):
+            rtilde(e, v)
+    finally:
+        set_cache(old)
+        writer.close()
+    warm = PolyCache(str(path))
+    warm.close()
+    loaded = len(warm)
+    assert warm.get((2, 3, 4, 1), (4, 3, 2, 1)) is None
+    old = set_cache(warm)
+    try:
+        s4 = list(all_perms(4))
+        for u in s4:
+            for v in s4:
+                rtilde(u, v)
+    finally:
+        set_cache(old)
+    assert loaded < len(warm) == 213  # the comparable pairs of S4
+    windows, polys = _held(warm)
+    assert _held_once(windows) and _held_once(polys)
+    # R-tilde of (e, 1432) was loaded, the equal one of (2341, 4321) computed
+    assert warm.get((2, 3, 4, 1), (4, 3, 2, 1)) is warm.get(e, (1, 4, 3, 2))
+
+
+def test_put_of_a_stored_pair_appends_nothing(tmp_path):
+    path = tmp_path / "poly.jsonl"
+    memo = PolyCache(str(path))
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    before = path.read_bytes()
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.put(tuple([1, 2, 3]), tuple([3, 2, 1]), tuple([0, 1, 0, 1]))
+    memo.close()
+    assert path.read_bytes() == before
+    assert len(memo) == 1
+    # a loaded pair is stored as well
+    warm = PolyCache(str(path))
+    warm.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    warm.close()
+    assert path.read_bytes() == before
+    assert len(warm) == 1
+
+
 def test_file_cache_rejects_bad_header(tmp_path):
     path = tmp_path / "poly.jsonl"
     path.write_text(json.dumps({"cache_version": 999}) + "\n")

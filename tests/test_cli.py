@@ -168,6 +168,24 @@ def test_verify_exhaustive_rank_limit(capsys):
         assert f"exhaustive {check} is limited" in err
 
 
+def test_verify_repeated_or_empty_check_names(capsys):
+    # a repeated check would write each of its records twice; an empty name
+    # is refused as such, not as an unknown check without a name
+    for checks, message in (
+        ("dyer,dyer", "repeated checks: dyer"),
+        ("em0,dyer,em0,em0", "repeated checks: em0"),
+        ("dyer,", "empty check name"),
+        (",dyer", "empty check name"),
+        ("", "empty check name"),
+    ):
+        code, out, err = run(
+            capsys, "verify", "--n", "4", "--checks", checks, "--mode", "exhaustive", "--no-cache"
+        )
+        assert code == 5, checks
+        assert message in err, (checks, err)
+        assert out == ""
+
+
 def test_verify_unknown_check(capsys):
     code, _, _ = run(capsys, "verify", "--n", "3", "--checks", "nonsense", "--no-cache")
     assert code == 5

@@ -202,6 +202,30 @@ def test_product_explicit_pairs():
     assert rec["z"] == "23154"
 
 
+def test_product_asks_each_amazing_test_and_ds_symmetry_once(monkeypatch):
+    # a factor has at most four standard decompositions, so its tests repeat
+    # across the pairs of a product; one call answers each of them once
+    import bruhatcubes.doubles as doubles
+
+    asked = Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            asked[fn.__name__, args] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(doubles, "is_amazing", counting(doubles.is_amazing))
+    monkeypatch.setattr(doubles, "ds_symmetric", counting(doubles.ds_symmetric))
+    records = verify_product(I3, I3)
+    assert len(records) == len(standard_hcds(I3)) ** 4
+    assert {rec["status"] for rec in records} == {"PASS"}
+    assert asked and max(asked.values()) == 1
+    factor_queries = [args for (_, args) in asked if args[0] == I3]
+    assert len(factor_queries) <= 4 + 4 * 4  # per decomposition, per pair
+
+
 def _assert_product_matches_brute(I1, I2, pairs=None):
     """verify_product against the brute oracle, record by record: status,
     reason and witness of every pair, in the order of ``pairs`` (the
