@@ -138,14 +138,19 @@ class PolyCache:
         row = self._rows.get(v)
         return None if row is None else row.get(u)
 
-    def put(self, u: Perm, v: Perm, poly: QPoly) -> None:
+    def put(self, u: Perm, v: Perm, poly: QPoly) -> QPoly:
+        """Store ``poly`` for (u, v) and append it to the file; returns the
+        memo's shared tuple of the pair, the one already stored (and nothing
+        appended) when the pair is known."""
         share = self._shared.setdefault
         row = self._rows.get(v)
         if row is None:
             row = self._rows[share(v, v)] = {}
-        elif u in row:
-            return
-        row[share(u, u)] = share(poly, poly)
+        else:
+            stored = row.get(u)
+            if stored is not None:
+                return stored
+        shared = row[share(u, u)] = share(poly, poly)
         self._size += 1
         if self._fh is not None:
             body = (
@@ -153,6 +158,7 @@ class PolyCache:
                 f'"coeffs": [{", ".join(map(str, poly))}]'
             ).encode()
             self._write(body + b', "crc": %d}\n' % zlib.crc32(body))
+        return shared
 
     def _write(self, data: bytes) -> None:
         """Hand ``data`` to the OS in one unbuffered write; a short write is

@@ -65,13 +65,15 @@ not in the interval, and call these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Iterator, NamedTuple
 
 from .errors import OrderError
 from .interval import Interval, RankIndex, bits, per_bottom, rank_index
-from .permutations import Perm, format_perm, lower_neighbors
+from .permutations import Perm, format_perm
+# not called here; perfbench/tracer.py reads the counters of this memo as
+# hcd.lower_neighbors
+from .permutations import lower_neighbors
 from .polynomials import QPoly, ZERO, padd, pshift
 from .rpoly import rtilde
 
@@ -80,8 +82,7 @@ from .rpoly import rtilde
 # hypercube spanning (ambient-group level)
 
 
-@dataclass(frozen=True)
-class HypercubeEmbedding:
+class HypercubeEmbedding(NamedTuple):
     """The unique Boolean-algebra embedding spanned by edges into ``top``.
 
     ``table[mask]`` is the vertex assigned to the subset of ``sources``
@@ -161,9 +162,12 @@ def _assignments(top: Perm, sources: tuple[Perm, ...], cap: int | None) -> list[
 
 
 def _check_edge_family(top: Perm, sources: tuple[Perm, ...]) -> None:
-    arrows_in = lower_neighbors(top)
+    index = rank_index(len(top))
+    ids = index.id
+    arrows_in = index.in_mask[ids[top]]
     for s in sources:
-        if s not in arrows_in:
+        x = ids.get(s)
+        if x is None or not arrows_in >> x & 1:
             raise OrderError(
                 f"{format_perm(s)} -> {format_perm(top)} is not a Bruhat-graph arrow"
             )

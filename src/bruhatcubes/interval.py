@@ -14,7 +14,9 @@ The index (:func:`rank_index`) numbers the n! permutations of a rank by
   on first use;
 * ``memos[u]``: the memos of bottom u (see below).
 
-It is built once from :func:`~bruhatcubes.permutations.lower_neighbors`.
+It is built once from the arrow maps of
+:func:`~bruhatcubes.permutations.lower_neighbors`, computed without its memo,
+so that the n! maps are dropped once the index holds their arrows.
 Bruhat order is the transitive closure of the arrows, and every arrow
 raises length (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2), so
 one pass up the ids gives the down-sets and one pass down the up-sets.
@@ -94,9 +96,10 @@ class RankIndex:
         out_mask = [0] * size
         down = [0] * size
         arrows: list[dict[int, Reflection]] = [{} for _ in range(size)]
+        arrows_into = lower_neighbors.__wrapped__
         for y, w in enumerate(perms):
             inn, below = 0, 1 << y
-            for x, t in lower_neighbors(w).items():
+            for x, t in arrows_into(w).items():
                 i = ids[x]
                 inn |= 1 << i
                 below |= down[i]

@@ -6,7 +6,6 @@ and the only timestamp lives in the header.
 
 from __future__ import annotations
 
-import datetime
 import json
 from typing import IO, Iterable
 
@@ -39,6 +38,9 @@ def write_report(
     fh: IO[str], header: dict, records: Iterable[dict], fmt: str = "json"
 ) -> None:
     if fmt == "json":
+        # imported here: only the JSON header carries a timestamp
+        import datetime
+
         stamped = dict(header)
         stamped["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         fh.write(json_line(stamped) + "\n")

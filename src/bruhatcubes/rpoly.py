@@ -27,7 +27,6 @@ are produced from reduced words of the longest element by prefix conjugation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cache import PolyCache
@@ -72,7 +71,9 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
     largest right descent s of v:  the (us, vs) branch, plus q times the
     (u, vs) branch when s is not a descent of u.  The descent choice is
     irrelevant mathematically; taking the largest keeps cache keys stable.
-    A zero is not memoized: one comparison decides it again.
+    A zero is not memoized: one comparison decides it again.  Every other
+    value comes back as the memo's shared tuple, so a caller that keeps the
+    results keeps one object per distinct polynomial.
     """
     memo = _cache
     known = memo.get(u, v)
@@ -92,25 +93,38 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
             poly = rtilde(us, vs)
         else:
             poly = padd(rtilde(us, vs), pshift(rtilde(u, vs), 1))
-    memo.put(u, v, poly)
-    return poly
+    return memo.put(u, v, poly)
 
 
 # ---------------------------------------------------------------------------
 # reflection orders
 
 
-@dataclass(frozen=True)
 class ReflectionOrder:
-    """A total order on the reflections of one rank, smallest first."""
+    """A total order on the reflections of one rank, smallest first.
 
-    sequence: tuple[Reflection, ...]
-    position: dict[Reflection, int] = field(init=False, repr=False, compare=False)
+    Equal and hashed by ``sequence``; ``position[t]`` is the place of t.
+    The hash is kept, since an order is part of the key of every per-bottom
+    label pass.  Treat an order as immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "position", {t: k for k, t in enumerate(self.sequence)}
-        )
+    __slots__ = ("sequence", "position", "_hash")
+
+    def __init__(self, sequence: tuple[Reflection, ...]):
+        self.sequence = sequence
+        self.position = {t: k for k, t in enumerate(sequence)}
+        self._hash = hash(sequence)
+
+    def __eq__(self, other):
+        if other.__class__ is not ReflectionOrder:
+            return NotImplemented
+        return self.sequence == other.sequence
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ReflectionOrder(sequence={self.sequence!r})"
 
     @property
     def n(self) -> int:

@@ -9,13 +9,11 @@ the configuration.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
-from typing import ClassVar
+from typing import NamedTuple
 
 from .appendix import (
     is_cosimple,
@@ -62,8 +60,7 @@ CONVENTIONS = {
 }
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
     n: int
     checks: tuple[str, ...] = ALL_CHECKS
     mode: str = "exhaustive"
@@ -72,7 +69,7 @@ class SweepConfig:
     max_interval_size: int | None = None
     timings: bool = False
     # sweeps run serially; perfbench/tracer.py reads this as the worker count
-    threads: ClassVar[int] = 1
+    threads = 1
 
     def fingerprint(self) -> dict:
         return {
@@ -87,6 +84,10 @@ class SweepConfig:
     def fingerprint_digest(self) -> str:
         """Short stable id of the configuration and conventions; stamped on
         every record so appended report files stay self-describing."""
+        # imported here: hashlib maps OpenSSL's libcrypto, a few MB that only
+        # a sweep needs
+        import hashlib
+
         blob = json.dumps(
             {"config": self.fingerprint(), "conventions": CONVENTIONS}, sort_keys=True
         )

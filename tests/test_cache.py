@@ -113,6 +113,16 @@ def test_computed_memo_holds_each_value_once(fresh_cache):
     assert _held_once(windows) and _held_once(polys)
 
 
+def test_rtilde_returns_the_memo_tuple(fresh_cache):
+    s5 = list(all_perms(5))
+    pairs = [(u, v) for u in s5 for v in s5]
+    results = [rtilde(u, v) for u, v in pairs]
+    # one object per distinct polynomial, zero included, and the memo's own
+    assert _held_once(results)
+    assert len(set(results)) == 1 + len(set(_held(fresh_cache)[1]))
+    assert all(p is fresh_cache.get(*pair) for p, pair in zip(results, pairs) if p)
+
+
 def test_loaded_and_computed_values_share_one_object(tmp_path):
     path = tmp_path / "poly.jsonl"
     writer = PolyCache(str(path))
@@ -146,16 +156,18 @@ def test_loaded_and_computed_values_share_one_object(tmp_path):
 def test_put_of_a_stored_pair_appends_nothing(tmp_path):
     path = tmp_path / "poly.jsonl"
     memo = PolyCache(str(path))
-    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    stored = memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    assert stored == (0, 1, 0, 1) and stored is memo.get((1, 2, 3), (3, 2, 1))
     before = path.read_bytes()
-    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
-    memo.put(tuple([1, 2, 3]), tuple([3, 2, 1]), tuple([0, 1, 0, 1]))
+    assert memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1)) is stored
+    assert memo.put(tuple([1, 2, 3]), tuple([3, 2, 1]), tuple([0, 1, 0, 1])) is stored
     memo.close()
     assert path.read_bytes() == before
     assert len(memo) == 1
     # a loaded pair is stored as well
     warm = PolyCache(str(path))
-    warm.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    loaded = warm.get((1, 2, 3), (3, 2, 1))
+    assert warm.put((1, 2, 3), (3, 2, 1), tuple([0, 1, 0, 1])) is loaded
     warm.close()
     assert path.read_bytes() == before
     assert len(warm) == 1

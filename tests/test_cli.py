@@ -11,7 +11,7 @@ from bruhatcubes.cache import PolyCache
 from bruhatcubes.cli import main
 from bruhatcubes.errors import ConfigError
 from bruhatcubes.rpoly import canonical_orders, get_cache, set_cache
-from bruhatcubes.sweep import SweepConfig, validate_config
+from bruhatcubes.sweep import ALL_CHECKS, SweepConfig, validate_config
 
 
 def run(capsys, *argv):
@@ -271,6 +271,24 @@ def test_threads_is_not_an_option(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_sweep_config_fields_defaults_and_fingerprint():
+    cfg = SweepConfig(n=3)
+    assert SweepConfig._fields == (
+        "n", "checks", "mode", "sample_size", "seed", "max_interval_size", "timings",
+    )
+    assert cfg == SweepConfig(3, ALL_CHECKS, "exhaustive", 50, None, None, False)
+    # the worker count is a constant of the class, not a field
+    assert cfg.threads == SweepConfig.threads == 1
+    with pytest.raises(TypeError):
+        SweepConfig(n=3, threads=2)
+    assert cfg.fingerprint_digest() == "5327f7fca850"
+    sample = SweepConfig(n=4, checks=("dyer",), mode="sample", seed=7, sample_size=3)
+    assert sample.fingerprint() == {
+        "n": 4, "checks": ["dyer"], "mode": "sample", "sample_size": 3,
+        "seed": 7, "max_interval_size": None,
+    }
+
+
 def test_size_bound_below_one_is_rejected():
     # the rejection sampler could never draw an interval of size 0
     for mode in ("sample", "exhaustive"):
@@ -502,3 +520,27 @@ def test_env_cache_file_is_loaded_once(tmp_path):
     proc = _python("-c", code, path, cache_env=path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["q^3+q", "1"]
+
+
+def test_rtilde_command_imports_no_unused_stdlib_module():
+    # hashlib maps OpenSSL's libcrypto, a few MB of RSS, and dataclasses pulls
+    # in inspect; only verify needs hashlib, only a JSON report needs
+    # datetime, and no command needs dataclasses
+    code = (
+        "import sys\n"
+        "heavy = ('hashlib', '_hashlib', 'dataclasses', 'datetime')\n"
+        "before = set(sys.modules)\n"
+        "from bruhatcubes import cache, cli, rpoly\n"
+        "assert cli.main(['rtilde', '--u', '123', '--v', '321', '--no-cache']) == 0\n"
+        "print(sorted(set(heavy) & set(sys.modules) - before))\n"
+        "argv = ['verify', '--n', '3', '--checks', 'dyer', '--no-cache', '--format', 'json']\n"
+        "assert cli.main(argv) == 0\n"
+    )
+    proc = _python("-c", code, cache_env="")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["q^3+q", "[]"]
+    header = json.loads(lines[2])
+    assert header["fp"] == SweepConfig(n=3, checks=("dyer",)).fingerprint_digest()
+    assert "created" in header
+    assert len(lines) == 3 + 19  # one dyer record per comparable S3 pair

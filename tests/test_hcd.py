@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bruhatcubes.errors import OrderError
 from bruhatcubes.hcd import (
+    HypercubeEmbedding,
     count_hypercube_assignments,
     enumerate_hcds,
     inflow,
@@ -68,6 +69,18 @@ def test_spans_hypercube_examples():
     assert empty is not None and empty.rank == 0 and empty.image == {(2, 3, 1)}
 
 
+def test_hypercube_embedding_fields_and_properties():
+    emb = spans_hypercube((2, 3, 1), ((2, 1, 3), (1, 3, 2)))
+    table = (E3, (2, 1, 3), (1, 3, 2), (2, 3, 1))
+    assert emb == HypercubeEmbedding(top=(2, 3, 1), sources=((1, 3, 2), (2, 1, 3)), table=table)
+    assert (emb.top, emb.sources, emb.table) == ((2, 3, 1), ((1, 3, 2), (2, 1, 3)), table)
+    assert hash(emb) == hash(HypercubeEmbedding((2, 3, 1), emb.sources, table))
+    assert (emb.rank, emb.bottom, emb.image) == (2, E3, frozenset(table))
+    assert repr(emb) == "Hypercube(rank=2, top=231, image={123,132,213,231})"
+    with pytest.raises(AttributeError):
+        emb.top = E3
+
+
 def test_spans_hypercube_rejects_non_edges():
     # not a single swap apart
     with pytest.raises(OrderError):
@@ -75,6 +88,9 @@ def test_spans_hypercube_rejects_non_edges():
     # one swap apart but length-decreasing
     with pytest.raises(OrderError):
         spans_hypercube(E3, ((3, 2, 1),))
+    # not a permutation of the top's rank
+    with pytest.raises(OrderError):
+        spans_hypercube((2, 3, 1), ((1, 2),))
 
 
 def test_assignment_counts_match_brute_force():

@@ -119,6 +119,19 @@ def test_is_reflection_order():
     assert len(valid) == 2
 
 
+def test_reflection_order_equality_hash_position_and_repr():
+    seq = ((1, 2), (1, 3), (2, 3))
+    order, same = ReflectionOrder(seq), ReflectionOrder(tuple(list(seq)))
+    assert order == same and hash(order) == hash(same) and {order: 1}[same] == 1
+    assert order != ReflectionOrder(seq[::-1]) and order != seq
+    assert order.position == {(1, 2): 0, (1, 3): 1, (2, 3): 2}
+    assert order.position is order.position
+    assert repr(order) == "ReflectionOrder(sequence=((1, 2), (1, 3), (2, 3)))"
+    assert str(order) == "t(1,2) < t(1,3) < t(2,3)"
+    assert (len(order), order.n) == (3, 3)
+    assert canonical_orders(3) == [order, ReflectionOrder(seq[::-1])]
+
+
 def test_all_reflection_orders_counts():
     assert len(all_reflection_orders(3)) == 2
     assert len(all_reflection_orders(4)) == 16
