@@ -12,7 +12,7 @@ edits a record can recompute its crc.  A header other than the integer 2,
 including the crc-less version 1 of earlier releases, is refused: delete such
 a file and it is rebuilt.
 
-A record must be spelled exactly as ``PolyCache.put`` writes it: these keys
+A record must be spelled exactly as ``PolyCache.store`` writes it: these keys
 in this order, ``", "`` and ``": "`` as separators, numbers as digits without
 leading zeros, windows as ``format_perm`` spells them, ``n`` the length of
 both windows, and coefficients normalized (the list does not end in 0).
@@ -24,10 +24,19 @@ their work.  An unterminated last line that is not such a record or fails
 its check, as an interrupted append leaves it, is cut off when the file is
 opened; a bad line anywhere else is an error.
 
-In memory the entries are rows by top, ``{v: {u: poly}}``, with no pair
-tuple per entry.  Every window and polynomial the memo stores, computed or
-loaded, goes through one intern table, so the memo holds one object per
-distinct value: all of S6 keeps 720 windows and 81 polynomials.
+In memory the memo numbers the windows of each rank in the order it meets
+them (:class:`Rank`).  Each id keeps its window, its rank-matrix code (which
+also rejects a non-window), its last right descent, the ids of w*s_i as the
+recurrence asks for them, its file spelling and its row ``{u id: poly}`` of
+the pairs with that top: rows by top id, with no pair tuple per entry.  Every
+polynomial the memo stores, computed or loaded, goes through one intern
+table, so the memo holds one object per distinct window and polynomial: all
+of S6 keeps 720 windows and 81 polynomials.
+
+The numbering is the memo's own, not the ids of ``interval.rank_index``: it
+needs no index, so ``rpoly.rtilde`` runs at ranks above ``MAX_RANK`` too,
+and the recurrence shares no table with the label passes of
+``rpoly.rtilde_dyer``, the route it is checked against.
 
 The environment variable ``BRUHAT_CACHE`` supplies the command line's default
 path (``--cache PATH``); only ``cli._configure_cache`` reads it, so importing
@@ -40,16 +49,17 @@ import json
 import os
 import re
 import zlib
+from functools import partial
 
 from .errors import CacheError
-from .permutations import Perm, format_perm, parse_perm
+from .permutations import Perm, _rank_code, format_perm, parse_perm
 from .polynomials import QPoly
 
 CACHE_VERSION = 2
 ENV_VAR = "BRUHAT_CACHE"
 
 _NUM = rb"(?:[1-9][0-9]*|0)"
-# one record exactly as ``put`` spells it; group 1 is the text its crc covers,
+# one record exactly as ``store`` spells it; group 1 is the text its crc covers,
 # then the rank, the windows u and v, the coefficient list and the crc
 _RECORD = re.compile(
     rb'(\{"n": (%s), "u": "([0-9,]+)", "v": "([0-9,]+)", "coeffs": \[((?:%s(?:, %s)*)?)\])'
@@ -58,13 +68,18 @@ _RECORD = re.compile(
 
 
 class PolyCache:
-    """Polynomial memo in rows by top, optionally mirrored to a JSON-lines file."""
+    """Polynomial memo in rows by top id, optionally mirrored to a JSON-lines file."""
 
     def __init__(self, path: str | None = None):
-        self._rows: dict[Perm, dict[Perm, QPoly]] = {}
-        # one object per distinct window and polynomial, computed or loaded
-        self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._size = 0
+        # the window numbering of each rank, made on first use
+        self.ranks: dict[int, Rank] = _Made(Rank)
+        # one object per distinct polynomial, computed or loaded
+        self._polys: dict[QPoly, QPoly] = {}
+        # R-tilde(us, vs) + q R-tilde(u, vs) of the recurrence, keyed by the
+        # pair of shared summands: 150 distinct sums make all of S6
+        self.sums: dict[tuple[QPoly, QPoly], QPoly] = {}
+        # the file spelling of each polynomial written
+        self._spelled = _Made(lambda poly: ", ".join(map(str, poly)))
         self._path = path
         self._fh = None
         if path is not None:
@@ -73,7 +88,6 @@ class PolyCache:
     def _open(self, path: str) -> None:
         if os.path.exists(path) and os.path.getsize(path) > 0:
             ended = self._load(path)
-            self._size = sum(map(len, self._rows.values()))
             self._fh = open(path, "ab", buffering=0)
             if not ended:
                 # a whole last record without its line break: end it, so
@@ -94,10 +108,16 @@ class PolyCache:
                 raise CacheError(f"{path}: bad cache header") from exc
             if type(version) is not int or version != CACHE_VERSION:
                 raise CacheError(f"{path}: unsupported cache_version {version!r}")
-            # each distinct window and coefficient list is parsed once per load
-            windows = _Parsed(_window, self._shared)
-            polys = _Parsed(_coeffs, self._shared)
-            rows = self._rows
+
+            def rank_of(text: bytes):
+                # the window ids and the rows of rank ``text``
+                rank = self.ranks[int(text)]
+                return _Made(partial(_window_id, rank)), rank.rows
+
+            # each distinct rank, window and coefficient list is parsed once
+            # per load
+            ranks = _Made(rank_of)
+            polys = _Made(lambda text: self.share(_coeffs(text)))
             match = _RECORD.fullmatch
             crc32 = zlib.crc32
             for line in fh:
@@ -110,13 +130,8 @@ class PolyCache:
                         raise ValueError("not spelled as the cache writes records")
                     if crc32(m[1]) != int(m[6]):
                         raise ValueError("checksum mismatch")
-                    u, v = windows[m[3]], windows[m[4]]
-                    if not len(u) == len(v) == int(m[2]):
-                        raise ValueError("rank n does not match the windows")
-                    row = rows.get(v)
-                    if row is None:
-                        row = rows[v] = {}
-                    row[u] = polys[m[5]]
+                    ids, rows = ranks[m[2]]
+                    rows[ids[m[4]]][ids[m[3]]] = polys[m[5]]
                 except ValueError as exc:
                     if not line.endswith(b"\n"):
                         # only the last line lacks its line break: this is the
@@ -132,33 +147,45 @@ class PolyCache:
         return self._path
 
     def __len__(self) -> int:
-        return self._size
+        return sum(len(row) for rank in self.ranks.values() for row in rank.rows)
+
+    def share(self, poly: QPoly) -> QPoly:
+        """The memo's one object equal to ``poly``."""
+        return self._polys.setdefault(poly, poly)
 
     def get(self, u: Perm, v: Perm) -> QPoly | None:
-        row = self._rows.get(v)
-        return None if row is None else row.get(u)
+        rank = self.ranks.get(len(v))
+        if rank is None or len(u) != len(v):
+            return None
+        ui, vi = rank.ids.get(u), rank.ids.get(v)
+        return None if ui is None or vi is None else rank.rows[vi].get(ui)
 
     def put(self, u: Perm, v: Perm, poly: QPoly) -> QPoly:
         """Store ``poly`` for (u, v) and append it to the file; returns the
         memo's shared tuple of the pair, the one already stored (and nothing
-        appended) when the pair is known."""
-        share = self._shared.setdefault
-        row = self._rows.get(v)
-        if row is None:
-            row = self._rows[share(v, v)] = {}
-        else:
-            stored = row.get(u)
-            if stored is not None:
-                return stored
-        shared = row[share(u, u)] = share(poly, poly)
-        self._size += 1
+        appended) when the pair is known.  Raises ValueError, storing
+        nothing, unless u and v are windows of one rank."""
+        if len(u) != len(v):
+            raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
+        rank = self.ranks[len(v)]
+        ui, vi = rank.id(u), rank.id(v)
+        stored = rank.rows[vi].get(ui)
+        if stored is not None:
+            return stored
+        return self.store(rank, ui, vi, self.share(poly))
+
+    def store(self, rank: Rank, u: int, v: int, poly: QPoly) -> QPoly:
+        """Store the shared ``poly`` for the ids (u, v), a pair the memo does
+        not hold yet, and append it to the file; returns ``poly``."""
+        rank.rows[v][u] = poly
         if self._fh is not None:
+            spellings = rank.spellings
             body = (
-                f'{{"n": {len(u)}, "u": "{format_perm(u)}", "v": "{format_perm(v)}", '
-                f'"coeffs": [{", ".join(map(str, poly))}]'
+                f'{{"n": {rank.n}, "u": "{spellings[u]}", "v": "{spellings[v]}", '
+                f'"coeffs": [{self._spelled[poly]}]'
             ).encode()
             self._write(body + b', "crc": %d}\n' % zlib.crc32(body))
-        return shared
+        return poly
 
     def _write(self, data: bytes) -> None:
         """Hand ``data`` to the OS in one unbuffered write; a short write is
@@ -174,26 +201,75 @@ class PolyCache:
             self._fh = None
 
 
-class _Parsed(dict):
-    """``{text: value}`` that parses each text on its first lookup only and
-    takes the value's object from the intern table ``shared``."""
+class Rank:
+    """The windows of rank n that a memo has met, numbered 0, 1, ... in the
+    order met.  Each id has its window, its rank-matrix code, its last right
+    descent (0 for the identity), the ids of w*s_i as far as asked for
+    (``moves[id][i]``, None until then), its file spelling and its row
+    ``{u id: poly}`` of the pairs with this top."""
 
-    def __init__(self, parse, shared: dict):
+    __slots__ = ("n", "ids", "windows", "codes", "descents", "moves", "spellings", "rows")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ids: dict[Perm, int] = {}
+        self.windows: list[Perm] = []
+        self.codes: list[int] = []
+        self.descents: list[int] = []
+        self.moves: list[list[int | None]] = []
+        self.spellings: list[str] = []
+        self.rows: list[dict[int, QPoly]] = []
+
+    def id(self, w: Perm) -> int:
+        """The id of the window w, numbered now if it is new; raises
+        ValueError for anything but a window of rank n."""
+        i = self.ids.get(w)
+        if i is not None:
+            return i
+        n = self.n
+        if len(w) != n or not n:
+            raise ValueError(f"not a permutation window of rank {n}: {w}")
+        code = _rank_code(w)  # raises ValueError for a non-window
+        i = self.ids[w] = len(self.windows)
+        d = n - 1
+        while d and w[d - 1] < w[d]:
+            d -= 1
+        self.windows.append(w)
+        self.codes.append(code)
+        self.descents.append(d)
+        self.moves.append([None] * n)
+        self.spellings.append(format_perm(w))
+        self.rows.append({})
+        return i
+
+    def move(self, w: int, i: int) -> int:
+        """The id of w*s_i, recorded in ``moves``."""
+        x = list(self.windows[w])
+        x[i - 1], x[i] = x[i], x[i - 1]
+        j = self.moves[w][i] = self.id(tuple(x))
+        return j
+
+
+class _Made(dict):
+    """``{key: make(key)}``, made on the first lookup of each key."""
+
+    def __init__(self, make):
         super().__init__()
-        self._parse = parse
-        self._shared = shared
+        self._make = make
 
-    def __missing__(self, text: bytes):
-        value = self._parse(text)
-        value = self[text] = self._shared.setdefault(value, value)
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
         return value
 
 
-def _window(text: bytes) -> Perm:
+def _window_id(rank: Rank, text: bytes) -> int:
+    """The id in ``rank`` of the window spelled ``text``."""
     w = parse_perm(text.decode())
     if format_perm(w).encode() != text:
         raise ValueError(f"window {text.decode()!r} is not spelled as written")
-    return w
+    if len(w) != rank.n:
+        raise ValueError("rank n does not match the windows")
+    return rank.id(w)
 
 
 def _coeffs(text: bytes) -> QPoly:

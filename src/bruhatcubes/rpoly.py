@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cache import PolyCache
+from .cache import PolyCache, Rank
 from .errors import OrderError, WordError
 from .interval import Interval, bits, per_bottom, rank_index
 from .permutations import (
     Perm,
     Reflection,
-    bruhat_leq,
+    _guards,
     format_reflection,
     identity,
     is_reduced_word,
@@ -50,6 +50,8 @@ from .polynomials import ONE, QPoly, ZERO, padd, pshift
 
 # in memory only until ``set_cache`` installs another; importing opens no file
 _cache = PolyCache(None)
+# the recurrence of each rank on the ids of ``_cache``, made on first use
+_recurrences: dict = {}
 
 
 def set_cache(cache: PolyCache) -> PolyCache:
@@ -57,6 +59,7 @@ def set_cache(cache: PolyCache) -> PolyCache:
     global _cache
     previous = _cache
     _cache = cache
+    _recurrences.clear()
     return previous
 
 
@@ -71,29 +74,71 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
     largest right descent s of v:  the (us, vs) branch, plus q times the
     (u, vs) branch when s is not a descent of u.  The descent choice is
     irrelevant mathematically; taking the largest keeps cache keys stable.
-    A zero is not memoized: one comparison decides it again.  Every other
-    value comes back as the memo's shared tuple, so a caller that keeps the
-    results keeps one object per distinct polynomial.
+
+    The recurrence runs on the ids that the memo gives the windows it meets
+    (:class:`~bruhatcubes.cache.Rank`): u <= v is one guarded subtraction of
+    their stored rank codes (as in ``bruhat_leq``), and u*s, v*s are looked
+    up once per id and descent.  Raises ValueError, storing nothing, unless
+    u and v are windows of one rank.  A zero is not memoized: one comparison
+    decides it again.  Every other value comes back as the memo's shared
+    tuple, so a caller that keeps the results keeps one object per distinct
+    polynomial.
     """
-    memo = _cache
-    known = memo.get(u, v)
+    n = len(u)
+    if len(v) != n:
+        raise ValueError(f"rank mismatch: {n} vs {len(v)}")
+    rank = _cache.ranks[n]
+    ids = rank.ids
+    ui = ids.get(u)
+    if ui is None:
+        ui = rank.id(u)
+    vi = ids.get(v)
+    if vi is None:
+        vi = rank.id(v)
+    known = rank.rows[vi].get(ui)
     if known is not None:
         return known
-    if u == v:
-        poly: QPoly = ONE
-    elif not bruhat_leq(u, v):
-        return ZERO
-    else:
-        i = len(v) - 1  # the last descent of v; v > u, so it has one
-        while v[i - 1] < v[i]:
-            i -= 1
-        vs = right_multiply_simple(v, i)
-        us = right_multiply_simple(u, i)
-        if u[i - 1] > u[i]:
-            poly = rtilde(us, vs)
+    descend = _recurrences.get(n)
+    if descend is None:
+        descend = _recurrences[n] = _recurrence(_cache, rank)
+    return descend(ui, vi)
+
+
+def _recurrence(memo: PolyCache, rank: Rank):
+    """R-tilde on the ids of ``rank``, stored in ``memo``."""
+    rows, codes, windows = rank.rows, rank.codes, rank.windows
+    descents, moves, move = rank.descents, rank.moves, rank.move
+    guards = _guards(rank.n)
+    sums, share, store = memo.sums, memo.share, memo.store
+    one = share(ONE)
+
+    def descend(u: int, v: int) -> QPoly:
+        poly = rows[v].get(u)
+        if poly is not None:
+            return poly
+        if u == v:
+            poly = one
+        elif (codes[v] | guards) - codes[u] & guards != guards:
+            return ZERO
         else:
-            poly = padd(rtilde(us, vs), pshift(rtilde(u, vs), 1))
-    return memo.put(u, v, poly)
+            i = descents[v]  # v > u, so v has a descent
+            vs = moves[v][i]
+            if vs is None:
+                vs = move(v, i)
+            us = moves[u][i]
+            if us is None:
+                us = move(u, i)
+            w = windows[u]
+            if w[i - 1] > w[i]:
+                poly = descend(us, vs)
+            else:
+                key = descend(us, vs), descend(u, vs)
+                poly = sums.get(key)
+                if poly is None:
+                    poly = sums[key] = share(padd(key[0], pshift(key[1], 1)))
+        return store(rank, u, v, poly)
+
+    return descend
 
 
 # ---------------------------------------------------------------------------

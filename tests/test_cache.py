@@ -7,6 +7,7 @@ import pytest
 
 from bruhatcubes.cache import CACHE_VERSION, PolyCache, default_cache_path
 from bruhatcubes.errors import CacheError
+from bruhatcubes.interval import comparable_pairs
 from bruhatcubes.permutations import all_perms, identity, longest_element
 from bruhatcubes.rpoly import get_cache, rtilde, set_cache
 
@@ -91,11 +92,59 @@ def test_s5_cache_file_bytes_are_pinned_and_reload_shared(tmp_path):
     assert len({id(p) for p in polys}) == len(set(polys))
 
 
+def test_s6_cache_file_bytes_are_pinned(tmp_path):
+    # every comparable pair in comparable_pairs order, as a sweep asks them
+    path = tmp_path / "poly.jsonl"
+    installed = PolyCache(str(path))
+    old = set_cache(installed)
+    try:
+        for u, v in comparable_pairs(6):
+            rtilde(u, v)
+    finally:
+        set_cache(old)
+        installed.close()
+    data = path.read_bytes()
+    assert len(installed) == data.count(b"\n") - 1 == 98407
+    assert hashlib.sha256(data).hexdigest() == (
+        "f20c6b329f48fb9c0b6b108bff72d8b68d66d25dbe21c1df2aa06540473bfbe6"
+    )
+
+
+def test_non_window_pair_raises_and_stores_nothing(tmp_path):
+    # a stored non-window would be a record that the loader refuses, so
+    # that every later run on the file exits 4
+    path = tmp_path / "poly.jsonl"
+    memo = PolyCache(str(path))
+    before = path.read_bytes()
+    old = set_cache(memo)
+    try:
+        bad = ((1, 1), (1, 1)), ((1, 3), (1, 3)), ((2, 1), (1, 1)), ((), ()), ((1, 2), (1, 2, 3))
+        for u, v in bad:
+            with pytest.raises(ValueError):
+                rtilde(u, v)
+            with pytest.raises(ValueError):
+                memo.put(u, v, (1,))
+    finally:
+        set_cache(old).close()
+    assert len(memo) == 0
+    assert memo.get((1, 1), (1, 1)) is None
+    assert path.read_bytes() == before
+    PolyCache(str(path)).close()
+
+
 def _held(memo: PolyCache):
-    """The windows and the polynomials the memo holds, one item per slot."""
-    windows = [w for v, row in memo._rows.items() for w in (v, *row)]
-    polys = [p for row in memo._rows.values() for p in row.values()]
+    """The windows and the polynomials the memo holds, one item per slot:
+    each window as a key of its rank's id table and under its id, and each
+    polynomial in its row."""
+    ranks = memo.ranks.values()
+    windows = [w for rank in ranks for w in (*rank.ids, *rank.windows)]
+    polys = [p for rank in ranks for row in rank.rows for p in row.values()]
     return windows, polys
+
+
+def _summed(memo: PolyCache):
+    """The polynomials of the recurrence's sum memo, summands included."""
+    return [p for key, total in memo.sums.items() for p in (*key, total)]
 
 
 def _held_once(values) -> bool:
@@ -110,7 +159,11 @@ def test_computed_memo_holds_each_value_once(fresh_cache):
     windows, polys = _held(fresh_cache)
     assert len(fresh_cache) == len(polys) == 3781  # the comparable pairs
     assert len(set(windows)) == 120
-    assert _held_once(windows) and _held_once(polys)
+    assert _held_once(windows) and _held_once(polys + _summed(fresh_cache))
+    # ids number the windows in the order met, and each id has its window
+    rank = fresh_cache.ranks[5]
+    assert list(rank.ids.values()) == list(range(120))
+    assert all(rank.windows[i] is w for w, i in rank.ids.items())
 
 
 def test_rtilde_returns_the_memo_tuple(fresh_cache):
@@ -118,7 +171,7 @@ def test_rtilde_returns_the_memo_tuple(fresh_cache):
     pairs = [(u, v) for u in s5 for v in s5]
     results = [rtilde(u, v) for u, v in pairs]
     # one object per distinct polynomial, zero included, and the memo's own
-    assert _held_once(results)
+    assert _held_once(results + _summed(fresh_cache))
     assert len(set(results)) == 1 + len(set(_held(fresh_cache)[1]))
     assert all(p is fresh_cache.get(*pair) for p, pair in zip(results, pairs) if p)
 
@@ -148,7 +201,7 @@ def test_loaded_and_computed_values_share_one_object(tmp_path):
         set_cache(old)
     assert loaded < len(warm) == 213  # the comparable pairs of S4
     windows, polys = _held(warm)
-    assert _held_once(windows) and _held_once(polys)
+    assert _held_once(windows) and _held_once(polys + _summed(warm))
     # R-tilde of (e, 1432) was loaded, the equal one of (2341, 4321) computed
     assert warm.get((2, 3, 4, 1), (4, 3, 2, 1)) is warm.get(e, (1, 4, 3, 2))
 

@@ -32,6 +32,13 @@ def test_rtilde_diagonal(capsys):
     assert out.strip() == "1"
 
 
+def test_rtilde_recurrence_above_the_index_rank(capsys):
+    argv = ["rtilde", "--u", "12345678", "--v", "87654321", "--method", "recurrence", "--no-cache"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("q^28+21q^26+190q^24+") and out.endswith("+18q^6+q^4\n")
+
+
 def test_rtilde_incomparable_exits_2(capsys):
     code, _, err = run(capsys, "rtilde", "--u", "213", "--v", "132", "--no-cache")
     assert code == 2

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhatcubes.errors import OrderError, WordError
-from bruhatcubes.interval import comparable_pairs, interval
+from bruhatcubes.interval import MAX_RANK, comparable_pairs, interval, rank_index
 from bruhatcubes.permutations import identity, longest_element, reflections
 from bruhatcubes.polynomials import ONE, ZERO, degree, monomial, padd, pmul, poly_str, pshift
 from bruhatcubes.rpoly import (
@@ -70,6 +70,18 @@ def test_rtilde_examples():
 def test_rtilde_matches_hand_unfolded_values():
     for (u, v), expect in rtilde_brute_by_hand_s3().items():
         assert rtilde(u, v) == expect, (u, v)
+
+
+def test_rtilde_above_the_index_rank():
+    # the recurrence needs no rank index, so it runs where the index stops
+    with pytest.raises(OrderError):
+        rank_index(MAX_RANK + 1)
+    p = rtilde(identity(8), longest_element(8))
+    assert degree(p) == 28 and sum(p) == 31033
+    assert p == (
+        0, 0, 0, 0, 1, 0, 18, 0, 177, 0, 1110, 0, 3711, 0, 7105, 0, 8361, 0,
+        6292, 0, 3076, 0, 970, 0, 190, 0, 21, 0, 1,
+    )
 
 
 def test_rtilde_shape_s4():
