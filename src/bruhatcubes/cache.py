@@ -39,8 +39,9 @@ and the recurrence shares no table with the label passes of
 ``rpoly.rtilde_dyer``, the route it is checked against.
 
 The environment variable ``BRUHAT_CACHE`` supplies the command line's default
-path (``--cache PATH``); only ``cli._configure_cache`` reads it, so importing
-the package opens no file.  An empty value counts as unset.
+path (``--cache PATH``) of ``rtilde`` and ``verify``; only the command line
+reads it, when one of those two commands runs, so importing the package
+opens no file.  An empty value counts as unset.
 """
 
 from __future__ import annotations
@@ -206,9 +207,10 @@ class Rank:
     order met.  Each id has its window, its rank-matrix code, its last right
     descent (0 for the identity), the ids of w*s_i as far as asked for
     (``moves[id][i]``, None until then), its file spelling and its row
-    ``{u id: poly}`` of the pairs with this top."""
+    ``{u id: poly}`` of the pairs with this top.  ``recurrence`` is
+    ``rpoly``'s R-tilde on these ids, made on first use."""
 
-    __slots__ = ("n", "ids", "windows", "codes", "descents", "moves", "spellings", "rows")
+    __slots__ = ("n", "ids", "windows", "codes", "descents", "moves", "spellings", "rows", "recurrence")
 
     def __init__(self, n: int):
         self.n = n
@@ -219,6 +221,7 @@ class Rank:
         self.moves: list[list[int | None]] = []
         self.spellings: list[str] = []
         self.rows: list[dict[int, QPoly]] = []
+        self.recurrence = None
 
     def id(self, w: Perm) -> int:
         """The id of the window w, numbered now if it is new; raises

@@ -1,6 +1,9 @@
 """Command-line driver.
 
 Commands: ``rtilde``, ``inspect``, ``shortcuts``, ``ds``, ``dh``, ``verify``.
+Each takes ``--format`` and ``--output``; only ``rtilde`` and ``verify``, the
+two that evaluate R-tilde, take ``--cache``/``--no-cache`` and read
+``BRUHAT_CACHE``.  ``--output`` is replaced only when the command returns.
 Exit codes: 0 success, 1 a proved statement failed during verify, 2 Bruhat
 order error, 3 parse error, 4 I/O error, 5 bad configuration.
 """
@@ -8,9 +11,10 @@ order error, 3 parse error, 4 I/O error, 5 bad configuration.
 from __future__ import annotations
 
 import argparse
-import json
+import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .appendix import dh_multiset, is_cosimple
 from .cache import PolyCache, default_cache_path
@@ -18,7 +22,7 @@ from .doubles import ds_multiset, multiset_entries
 from .errors import CacheError, ConfigError, OrderError, ParseError, WordError
 from .hcd import enumerate_hcds, shortcuts, standard_hcds
 from .interval import interval
-from .permutations import bruhat_leq, format_perm, parse_perm
+from .permutations import bruhat_leq, format_perm, format_reflection, parse_perm
 from .polynomials import poly_str
 from .reports import json_line, write_report
 from .rpoly import (
@@ -38,49 +42,59 @@ EXIT_IO = 4
 EXIT_CONFIG = 5
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache", metavar="PATH", help="polynomial cache file (default: $BRUHAT_CACHE)")
-    parser.add_argument("--no-cache", action="store_true", help="keep the polynomial memo in memory only")
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
+def _with_memo(command):
+    """``command`` run with the polynomial memo that its args ask for
+    installed, closing the one it replaces; the memo's file is closed when
+    the command ends, and the memo stays installed and readable."""
+
+    def run(args, fh) -> int:
+        cache = PolyCache(None if args.no_cache else args.cache or default_cache_path())
+        set_cache(cache).close()
+        try:
+            return command(args, fh)
+        finally:
+            cache.close()
+
+    return run
+
+
+def _command(sub, name: str, help_text: str, run, *perms: str, reads_rtilde: bool = False):
+    """The subparser of ``name``, which runs ``run(args, fh)``: the output
+    options, a required window option for each of ``perms`` and, for a
+    command that evaluates R-tilde, the memo options."""
+    p = sub.add_parser(name, help=help_text)
+    for perm in perms:
+        p.add_argument(f"--{perm}", required=True)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
+    if reads_rtilde:
+        p.add_argument("--cache", metavar="PATH", help="polynomial cache file (default: $BRUHAT_CACHE)")
+        p.add_argument("--no-cache", action="store_true", help="keep the polynomial memo in memory only")
+        run = _with_memo(run)
+    p.set_defaults(run=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bruhatcubes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rtilde", help="R-tilde polynomial of a pair")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
+    p = _command(sub, "rtilde", "R-tilde polynomial of a pair", cmd_rtilde, "u", "v", reads_rtilde=True)
     p.add_argument("--method", choices=("recurrence", "dyer", "both"), default="recurrence")
     p.add_argument("--order-word", help="reduced word of the longest element, e.g. 1,2,1")
-    _common(p)
 
-    p = sub.add_parser("inspect", help="summary of one interval")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
+    p = _command(sub, "inspect", "summary of one interval", cmd_inspect, "u", "v")
     p.add_argument("--edges", action="store_true", help="also dump the labeled arrow list")
-    _common(p)
 
-    p = sub.add_parser("shortcuts", help="shortcut set of an interval for z")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--z", required=True)
-    _common(p)
+    _command(sub, "shortcuts", "shortcut set of an interval for z", cmd_shortcuts, "u", "v", "z")
 
-    for name, help_text in (
-        ("ds", "double-shortcut multiset for a pair of decompositions"),
-        ("dh", "double-hypercube multiset for a pair of decompositions"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--u", required=True)
-        p.add_argument("--v", required=True)
-        p.add_argument("--z", required=True)
-        p.add_argument("--z2", required=True)
+    for name, what, compute in (("ds", "double-shortcut", ds_multiset), ("dh", "double-hypercube", dh_multiset)):
+        help_text = f"{what} multiset for a pair of decompositions"
+        p = _command(sub, name, help_text, _cmd_multiset, "u", "v", "z", "z2")
         p.add_argument("--both", action="store_true", help="also print the reversed pair and a symmetry verdict")
-        _common(p)
+        p.set_defaults(compute=compute)
 
-    p = sub.add_parser("verify", help="run verification sweeps and emit a report")
+    p = _command(sub, "verify", "run verification sweeps and emit a report", cmd_verify, reads_rtilde=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--checks", default="all", help=f"comma list from: {', '.join(ALL_CHECKS)} (or 'all')")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default=None)
@@ -88,29 +102,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-interval-size", type=int)
     p.add_argument("--timings", action="store_true", help="include per-record timings (breaks byte-identical reports)")
-    _common(p)
     return parser
 
 
-def _configure_cache(args) -> PolyCache:
-    """Install the polynomial memo that ``args`` ask for, closing the one it
-    replaces; returns the new one."""
-    if getattr(args, "no_cache", False):
-        path = None
-    else:
-        path = getattr(args, "cache", None) or default_cache_path()
-    cache = PolyCache(path)
-    set_cache(cache).close()
-    return cache
-
-
 @contextmanager
-def _out_stream(args):
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
+def _out_stream(path: str | None):
+    """The stream a command writes to: stdout as found now, or a new file
+    beside ``path`` that replaces it, with its mode, only when the command
+    returns, so that a command that raises leaves ``path`` as it was.  A
+    path that is not a regular file (a device, a pipe) is written in place."""
+    if not path:
         yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _parse_pair(args):
@@ -175,8 +195,6 @@ def cmd_inspect(args, fh) -> int:
         },
     }
     if args.edges:
-        from .permutations import format_reflection
-
         info["edges"] = [
             [format_perm(x), format_perm(y), format_reflection(t)]
             for x, y, t in I.edges
@@ -206,16 +224,16 @@ def cmd_shortcuts(args, fh) -> int:
     return EXIT_OK
 
 
-def _cmd_multiset(args, fh, compute) -> int:
+def _cmd_multiset(args, fh) -> int:
     u, v = _parse_pair(args)
     z = parse_perm(args.z)
     zp = parse_perm(args.z2)
     I = interval(u, v)
-    forward = compute(I, z, zp)
+    forward = args.compute(I, z, zp)
     payload = {"u": args.u, "v": args.v, "z": args.z, "z2": args.z2,
                "entries": multiset_entries(forward)}
     if args.both:
-        backward = compute(I, zp, z)
+        backward = args.compute(I, zp, z)
         payload["entries_reversed"] = multiset_entries(backward)
         payload["symmetric"] = forward == backward
     if args.format == "json":
@@ -249,25 +267,10 @@ def cmd_verify(args, fh) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cache = None
+    args = build_parser().parse_args(argv)
     try:
-        cache = _configure_cache(args)
-        with _out_stream(args) as fh:
-            if args.command == "rtilde":
-                return cmd_rtilde(args, fh)
-            if args.command == "inspect":
-                return cmd_inspect(args, fh)
-            if args.command == "shortcuts":
-                return cmd_shortcuts(args, fh)
-            if args.command == "ds":
-                return _cmd_multiset(args, fh, ds_multiset)
-            if args.command == "dh":
-                return _cmd_multiset(args, fh, dh_multiset)
-            if args.command == "verify":
-                return cmd_verify(args, fh)
-            raise ConfigError(f"unknown command {args.command!r}")
+        with _out_stream(args.output) as fh:
+            return args.run(args, fh)
     except (ParseError, WordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -280,10 +283,6 @@ def main(argv=None) -> int:
     except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        # the memo stays installed and readable; only its file is closed
-        if cache is not None:
-            cache.close()
 
 
 if __name__ == "__main__":

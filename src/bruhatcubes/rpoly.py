@@ -50,16 +50,12 @@ from .polynomials import ONE, QPoly, ZERO, padd, pshift
 
 # in memory only until ``set_cache`` installs another; importing opens no file
 _cache = PolyCache(None)
-# the recurrence of each rank on the ids of ``_cache``, made on first use
-_recurrences: dict = {}
 
 
 def set_cache(cache: PolyCache) -> PolyCache:
     """Install a new global polynomial memo; returns the previous one."""
     global _cache
-    previous = _cache
-    _cache = cache
-    _recurrences.clear()
+    previous, _cache = _cache, cache
     return previous
 
 
@@ -98,14 +94,15 @@ def rtilde(u: Perm, v: Perm) -> QPoly:
     known = rank.rows[vi].get(ui)
     if known is not None:
         return known
-    descend = _recurrences.get(n)
+    descend = rank.recurrence
     if descend is None:
-        descend = _recurrences[n] = _recurrence(_cache, rank)
+        descend = rank.recurrence = _recurrence(_cache, rank)
     return descend(ui, vi)
 
 
 def _recurrence(memo: PolyCache, rank: Rank):
-    """R-tilde on the ids of ``rank``, stored in ``memo``."""
+    """R-tilde on the ids of ``rank``, stored in ``memo``: the closure that
+    ``rank.recurrence`` keeps, so that it goes with the memo it fills."""
     rows, codes, windows = rank.rows, rank.codes, rank.windows
     descents, moves, move = rank.descents, rank.moves, rank.move
     guards = _guards(rank.n)

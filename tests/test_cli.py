@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import zlib
@@ -7,9 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from bruhatcubes.appendix import dh_multiset
 from bruhatcubes.cache import PolyCache
 from bruhatcubes.cli import main
+from bruhatcubes.doubles import ds_multiset, multiset_entries
 from bruhatcubes.errors import ConfigError
+from bruhatcubes.hcd import shortcuts
+from bruhatcubes.interval import interval
+from bruhatcubes.permutations import format_perm, parse_perm
 from bruhatcubes.rpoly import canonical_orders, get_cache, set_cache
 from bruhatcubes.sweep import ALL_CHECKS, SweepConfig, validate_config
 
@@ -76,7 +82,7 @@ def test_rtilde_json_coeffs(capsys):
 
 
 def test_inspect_full_s3(capsys):
-    code, out, _ = run(capsys, "inspect", "--u", "123", "--v", "321", "--no-cache")
+    code, out, _ = run(capsys, "inspect", "--u", "123", "--v", "321")
     assert code == 0
     assert "size=6" in out
     assert "co-simple: True" in out
@@ -85,38 +91,38 @@ def test_inspect_full_s3(capsys):
 
 
 def test_inspect_point(capsys):
-    code, out, _ = run(capsys, "inspect", "--u", "321", "--v", "321", "--no-cache")
+    code, out, _ = run(capsys, "inspect", "--u", "321", "--v", "321")
     assert code == 0
     assert "size=1" in out
 
 
 def test_inspect_diamond(capsys):
-    code, out, _ = run(capsys, "inspect", "--u", "123", "--v", "231", "--format", "json", "--no-cache")
+    code, out, _ = run(capsys, "inspect", "--u", "123", "--v", "231", "--format", "json")
     assert code == 0
     assert json.loads(out)["size"] == 4
 
 
 def test_inspect_edge_dump(capsys):
     code, out, _ = run(
-        capsys, "inspect", "--u", "123", "--v", "321", "--edges", "--format", "json", "--no-cache"
+        capsys, "inspect", "--u", "123", "--v", "321", "--edges", "--format", "json"
     )
     assert code == 0
     edges = json.loads(out)["edges"]
     assert ["123", "321", "t(1,3)"] in edges
     assert len(edges) == 9  # eight covers plus the long arrow to the top
-    code, out, _ = run(capsys, "inspect", "--u", "123", "--v", "321", "--edges", "--no-cache")
+    code, out, _ = run(capsys, "inspect", "--u", "123", "--v", "321", "--edges")
     assert code == 0
     assert "123 -> 321  t(1,3)" in out
 
 
 def test_shortcuts_command(capsys):
-    code, out, _ = run(capsys, "shortcuts", "--u", "123", "--v", "321", "--z", "231", "--no-cache")
+    code, out, _ = run(capsys, "shortcuts", "--u", "123", "--v", "321", "--z", "231")
     assert code == 0
     assert out.strip() == "{231, 321}"
 
 
 def test_shortcuts_outside_interval_exits_2(capsys):
-    code, _, _ = run(capsys, "shortcuts", "--u", "231", "--v", "321", "--z", "132", "--no-cache")
+    code, _, _ = run(capsys, "shortcuts", "--u", "231", "--v", "321", "--z", "132")
     assert code == 2
 
 
@@ -124,7 +130,7 @@ def test_ds_and_dh_commands(capsys):
     for cmd in ("ds", "dh"):
         code, out, _ = run(
             capsys, cmd, "--u", "123", "--v", "321", "--z", "231", "--z2", "312",
-            "--both", "--format", "json", "--no-cache",
+            "--both", "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -211,12 +217,67 @@ def test_verify_output_file(capsys, tmp_path):
     assert all(json.loads(line)["status"] == "PASS" for line in lines[1:])
 
 
-def test_verify_output_io_error(capsys):
+def test_verify_output_io_error(capsys, monkeypatch):
+    from bruhatcubes import cli
+
+    monkeypatch.setattr(cli, "run_sweep", _refuse)
     code, _, _ = run(
         capsys, "verify", "--n", "3", "--checks", "dyer", "--mode", "exhaustive",
         "--output", "/nonexistent-dir/report.jsonl", "--no-cache",
     )
     assert code == 4
+
+
+def test_failed_command_leaves_the_output_file_as_it_was(capsys, tmp_path):
+    # the output file was opened, and so emptied, before the command checked
+    # anything
+    for name, argv, code in (
+        ("rep.jsonl", ["verify", "--n", "3", "--checks", "nonsense"], 5),
+        ("rep.txt", ["inspect", "--u", "321", "--v", "123"], 2),
+    ):
+        target = tmp_path / name
+        target.write_bytes(b"precious\n")
+        assert main([*argv, "--output", str(target)]) == code
+        assert target.read_bytes() == b"precious\n"
+        assert sorted(os.listdir(tmp_path)) == sorted({"rep.jsonl", name})
+    capsys.readouterr()
+
+
+def test_output_file_is_replaced_with_its_mode(capsys, tmp_path):
+    argv = ["shortcuts", "--u", "123", "--v", "321", "--z", "231", "--output"]
+    target = tmp_path / "rep.txt"
+    target.write_bytes(b"precious\n")
+    target.chmod(0o640)
+    assert main([*argv, str(target)]) == 0
+    assert target.read_bytes() == b"{231, 321}\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    # through a link, the file it names is written and the link stays
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["shortcuts", "--u", "123", "--v", "231", "--z", "132", "--output", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == b"{132}\n"
+    # a pipe is written in place, not replaced by a file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    fd = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main([*argv, str(pipe)]) == 0
+        assert os.read(fd, 100) == b"{231, 321}\n"
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "pipe", "rep.txt"]
+    capsys.readouterr()
+
+
+def test_new_output_file_has_the_default_mode(capsys, tmp_path):
+    umask = os.umask(0o027)
+    try:
+        assert main(["inspect", "--u", "12", "--v", "21", "--output", str(tmp_path / "rep.txt")]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "rep.txt").stat().st_mode) == 0o640
+    capsys.readouterr()
 
 
 def test_verify_text_format_summary(capsys):
@@ -252,7 +313,7 @@ def test_verify_rank1_and_rank2(capsys):
 def test_ds_missing_join_exits_2(capsys):
     # 132 and 213 join two ways above 123, so the pair is not amazing
     code, _, err = run(
-        capsys, "ds", "--u", "123", "--v", "321", "--z", "132", "--z2", "213", "--no-cache"
+        capsys, "ds", "--u", "123", "--v", "321", "--z", "132", "--z2", "213"
     )
     assert code == 2
     assert "amazing" in err
@@ -551,3 +612,126 @@ def test_rtilde_command_imports_no_unused_stdlib_module():
     assert header["fp"] == SweepConfig(n=3, checks=("dyer",)).fingerprint_digest()
     assert "created" in header
     assert len(lines) == 3 + 19  # one dyer record per comparable S3 pair
+
+
+# the four commands that never evaluate R-tilde, with the parent's stdout
+_NO_RTILDE = {
+    ("inspect", "--u", "123", "--v", "321"): (
+        "interval [123, 321]  size=6  co-simple: True\n"
+        "standard decompositions: {231, 312}\n"
+        "amazing decompositions:  {123, 231, 312}\n"
+        "  shortcuts for 123: {123}\n"
+        "  shortcuts for 231: {231, 321}\n"
+        "  shortcuts for 312: {312, 321}\n"
+    ),
+    ("shortcuts", "--u", "123", "--v", "321", "--z", "231"): "{231, 321}\n",
+    ("ds", "--u", "123", "--v", "321", "--z", "231", "--z2", "312"): "[(1, '321', 1), (3, '321', 1)]\n",
+    ("dh", "--u", "123", "--v", "321", "--z", "231", "--z2", "312"): "[(1, '321', 1), (3, '321', 1)]\n",
+}
+
+
+def test_commands_without_rtilde_ignore_the_env_cache(tmp_path):
+    # they opened $BRUHAT_CACHE, and so exited 4 on a missing directory or an
+    # edited file, or created a file that held only a header
+    missing = tmp_path / "missing" / "p.jsonl"
+    edited = _cache_file(tmp_path, edited=True)
+    before = Path(edited).read_bytes()
+    for argv, expected in _NO_RTILDE.items():
+        for cache_env in (str(missing), edited):
+            proc = _python("-m", "bruhatcubes.cli", *argv, cache_env=cache_env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, ""), argv
+    assert not missing.parent.exists()
+    assert os.listdir(tmp_path) == ["poly.jsonl"]
+    assert Path(edited).read_bytes() == before
+
+
+def test_commands_without_rtilde_reject_the_cache_options(capsys, tmp_path):
+    for argv in _NO_RTILDE:
+        for option in (["--no-cache"], ["--cache", str(tmp_path / "p.jsonl")]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *option])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# size bounds and FINDING witnesses
+
+
+def test_exhaustive_size_bound_keeps_exactly_the_small_pairs(capsys):
+    import itertools
+
+    import oracles
+
+    perms = list(itertools.permutations(range(1, 5)))
+    sizes = {(u, v): len(oracles.interval_elements_brute(u, v)) for u in perms for v in perms}
+    expected = sorted(
+        (format_perm(u), format_perm(v)) for (u, v), size in sizes.items() if 0 < size <= 4
+    )
+    code, out, _ = run(
+        capsys, "verify", "--n", "4", "--checks", "dyer", "--mode", "exhaustive",
+        "--max-interval-size", "4", "--no-cache", "--format", "json",
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()[1:]]
+    assert sorted((r["u"], r["v"]) for r in records) == expected
+    assert 0 < len(expected) < sum(1 for size in sizes.values() if size)
+
+
+def test_product_size_bound_keeps_exactly_the_small_products(capsys):
+    import oracles
+
+    def size(factor):
+        u, v = map(parse_perm, factor)
+        return len(oracles.interval_elements_brute(u, v))
+
+    def factor_pairs(*bound):
+        code, out, _ = run(
+            capsys, "verify", "--n", "5", "--checks", "product", "--mode", "exhaustive",
+            *bound, "--no-cache", "--format", "json",
+        )
+        assert code == 0
+        return {tuple(map(tuple, json.loads(line)["factors"])) for line in out.splitlines()[1:]}
+
+    every = factor_pairs()
+    bounded = factor_pairs("--max-interval-size", "4")
+    assert bounded == {f for f in every if size(f[0]) * size(f[1]) <= 4}
+    assert 0 < len(bounded) < len(every)
+
+
+def test_finding_records_carry_what_the_library_computes(monkeypatch):
+    from bruhatcubes import appendix, doubles
+    from bruhatcubes.hcd import enumerate_hcds
+
+    I = interval((1, 2, 3, 4), (4, 3, 2, 1))
+    amazing = enumerate_hcds(I, amazing_only=True)
+    z, zp = amazing[1], amazing[2]
+    real_hypercubes = appendix.antichain_hypercubes
+    image = sorted({format_perm(p) for _, p in real_hypercubes(I, z)})
+    assert image
+    monkeypatch.setattr(doubles, "is_r_element", lambda I, z: False)
+    monkeypatch.setattr(doubles, "ds_symmetric", lambda I, z, zp: False)
+    monkeypatch.setattr(appendix, "dh_symmetric", lambda I, z, zp: False)
+    # a repeated pair makes the projection fail to be injective
+    monkeypatch.setattr(
+        appendix, "antichain_hypercubes", lambda I, z: [*real_hypercubes(I, z)] * 2
+    )
+
+    rec = doubles.verify_congettura(I)
+    assert (rec["status"], rec["z"]) == ("FINDING", format_perm(amazing[0]))
+    rec = doubles.verify_strong_ds_pair(I, z, zp)
+    assert rec["status"] == "FINDING"
+    assert rec["ds"] == multiset_entries(ds_multiset(I, z, zp))
+    assert rec["ds_rev"] == multiset_entries(ds_multiset(I, zp, z))
+    rec = appendix.verify_dh_symmetry(I, z, zp, conjectural=True)
+    assert rec["status"] == "FINDING"
+    assert rec["dh"] == multiset_entries(dh_multiset(I, z, zp))
+    assert rec["dh_rev"] == multiset_entries(dh_multiset(I, zp, z))
+    rec = appendix.verify_hw_projection(I, z)
+    assert rec["status"] == "FINDING"
+    assert rec["witness"] == {
+        "injective": False,
+        "image": image,
+        "shortcut_set": sorted(format_perm(p) for p in shortcuts(I, z)),
+    }
