@@ -5,18 +5,26 @@ A level maps ids ``(n, u, v, z)`` to pairs ``(degree, p)``: the shortcut
 level of :mod:`~bruhatcubes.hcd` or the hypercube level of
 :mod:`~bruhatcubes.appendix`.  :func:`double_expansion`, the one walk over a
 level, yields (a + c, p, b) for every (a, p) of [u, v] for z and every (c, b)
-of [p, v] for the join of z' and p; [p, v] stays a pair of ids.  DS(z, z')
-and DH(z, z') count (a + c, b) over it in one memo of bottom u keyed on the
-level and the ids (:func:`~bruhatcubes.interval.per_bottom`), the Bologna
-chain sums R-tilde over it, and the product check compares its (p, b)
-pairs, those of the factors memoized per bottom too.  Multisets are plain
-Counters keyed by (degree, element).
+of [p, v] for the join j of z' and p; [p, v] stays a pair of ids, and
+``_joins`` is its outer half, the (a, p, j).  DS(z, z') and DH(z, z') count
+(a + c, b) over it in one memo of bottom u keyed on the level and the ids
+(:func:`~bruhatcubes.interval.per_bottom`).  Multisets are plain Counters
+keyed by (degree, element).
+
+The Bologna chain of [u, v] repeats its values across its pairs: the chains
+of (z, z') and (z', z) hold the same six values besides R-tilde(u, v).
+``_chain_value``, one memo per bottom, keeps by id R-tilde_z for each z, and
+for each ordered pair (z, z') the expansion summed two ways: over the joins,
+from the R-tilde_j of [p, v] in the memo of bottom p, and over DS(z, z').
 
 The product check repeats its values across the pairs of one product.
-:func:`verify_product` reads the factors' double-expansion sets from
-those memos, keeps in memos that live for one call the amazing tests, DS
-symmetry, whether shortcuts factor and whether the inner expansions match,
-and compares block sums as ids through the table ``_block_ids``.
+:func:`verify_product` works on ids throughout: block sums come from the
+table ``_block_ids``; the factors' double-expansion (p, b) sets from the
+per-bottom memo ``_expansion_pairs``; and dicts that live for one call keep
+the amazing tests, the factors' DS symmetry, whether the shortcuts of a
+block sum factor, the inner matches, and the walks of the product, one per
+ordered pair, which give both its (p, b) set and its sorted (degree, b)
+entries.
 
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
@@ -27,13 +35,14 @@ SKIP (hypotheses not met).
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .errors import OrderError
 from .interval import Interval, interval, per_bottom, rank_index
 from .permutations import Perm, direct_sum, format_perm
-from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str
+from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str, pshift
 from .hcd import (
+    _amazing,
     _join_id,
     _member_key,
     _row_holds,
@@ -42,7 +51,6 @@ from .hcd import (
     is_amazing,
     is_amazing_r_element,
     is_r_element,
-    rtilde_z,
     shortcut_level,
     standard_hcds,
 )
@@ -56,11 +64,9 @@ def multiset_entries(ms: DegreeMultiset) -> list[tuple[int, str, int]]:
     return [(d, format_perm(b), k) for (d, b), k in sorted(ms.items())]
 
 
-def double_expansion(level, n: int, u: int, v: int, z: int, zp: int):
-    """The double expansion of (z, z') in [u, v] over ``level``, by id:
-    (a + c, p, b) for every (a, p) in ``level(n, u, v, z)`` and every (c, b)
-    in ``level(n, p, v, j)``, j the join of z' and p.  OrderError when a
-    join is missing."""
+def _joins(level, n: int, u: int, v: int, z: int, zp: int):
+    """(a, p, j) for every (a, p) in ``level(n, u, v, z)``, j the id of the
+    join of z' and p; OrderError when a join is missing."""
     index = rank_index(n)
     up = index.up
     zv = up[zp] & index.down[v]
@@ -69,6 +75,15 @@ def double_expansion(level, n: int, u: int, v: int, z: int, zp: int):
         if j < 0:
             x, y = (format_perm(index.perms[k]) for k in (zp, p))
             raise OrderError(f"{x} and {y} have no join; inputs must be amazing decompositions")
+        yield a, p, j
+
+
+def double_expansion(level, n: int, u: int, v: int, z: int, zp: int):
+    """The double expansion of (z, z') in [u, v] over ``level``, by id:
+    (a + c, p, b) for every (a, p) in ``level(n, u, v, z)`` and every (c, b)
+    in ``level(n, p, v, j)``, j the join of z' and p.  OrderError when a
+    join is missing."""
+    for a, p, j in _joins(level, n, u, v, z, zp):
         for c, b in level(n, p, v, j):
             yield a + c, p, b
 
@@ -203,32 +218,45 @@ def verify_em0(I: Interval) -> dict:
     )
 
 
+@per_bottom
+def _chain_value(n: int, u: int, v: int, z: int, zp: int | None = None):
+    """A value of the Bologna chain of [u, v] that recurs across its pairs,
+    by id.  For z alone, R-tilde_z: the sum of q^d R-tilde(p, v) over the
+    shortcut level of z.  For (z, z'), the expansion of (z, z') summed two
+    ways: over the joins j of z' with the z-shortcuts p, q^a times the
+    R-tilde_j of [p, v] (a value of bottom p); and over DS(z, z'), q^d
+    R-tilde(b, v) times the multiplicity."""
+    if zp is None:
+        return _rtilde_sum(n, v, shortcut_level(n, u, v, z))
+    walk: QPoly = ZERO
+    for a, p, j in _joins(shortcut_level, n, u, v, z, zp):
+        walk = padd(walk, pshift(_chain_value(n, p, v, j), a))
+    top = rank_index(n).perms[v]
+    multiset: QPoly = ZERO
+    for (a, b), k in _double_entries(n, u, shortcut_level, v, z, zp):
+        multiset = padd(multiset, pmul(monomial(a, k), rtilde(b, top)))
+    return walk, multiset
+
+
 def bologna_chain(I: Interval, z: Perm, zp: Perm) -> list[QPoly]:
     """The seven successive expressions of the double-expansion identity:
     starting from R-tilde(u, v), expand through z, through the joins of z'
-    with the z-shortcuts, through both multisets, and back through z'."""
+    with the z-shortcuts, through both multisets, and back through z'.
+    Each value but R-tilde(u, v) is read from ``_chain_value``, so the
+    chains of (z, z') and (z', z) compute their six shared values once."""
     I.require(z, zp)
-    u, v = I.u, I.v
-    n, vid, ids = I.n, I.vid, I.index.id
-
-    def double(w: Perm, wp: Perm) -> QPoly:
-        walk = double_expansion(shortcut_level, n, I.uid, vid, ids[w], ids[wp])
-        return _rtilde_sum(n, vid, ((d, b) for d, _, b in walk))
-
-    def from_multiset(ms: DegreeMultiset) -> QPoly:
-        total: QPoly = ZERO
-        for (a, b), k in sorted(ms.items()):
-            total = padd(total, pmul(monomial(a, k), rtilde(b, v)))
-        return total
-
+    n, u, v, ids = I.n, I.uid, I.vid, I.index.id
+    z, zp = ids[z], ids[zp]
+    walk, multiset = _chain_value(n, u, v, z, zp)
+    walk_rev, multiset_rev = _chain_value(n, u, v, zp, z)
     return [
-        rtilde(u, v),
-        rtilde_z(I, z),
-        double(z, zp),
-        from_multiset(ds_multiset(I, z, zp)),
-        from_multiset(ds_multiset(I, zp, z)),
-        double(zp, z),
-        rtilde_z(I, zp),
+        rtilde(I.u, I.v),
+        _chain_value(n, u, v, z),
+        walk,
+        multiset,
+        multiset_rev,
+        walk_rev,
+        _chain_value(n, u, v, zp),
     ]
 
 
@@ -256,6 +284,7 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
             "bologna", I, "SKIP", z=format_perm(z), z2=format_perm(zp), hypotheses=hyps
         )
     chain = bologna_chain(I, z, zp)
+    spelled = {c: poly_str(c) for c in set(chain)}
     chain_ok = all(chain[i] == chain[i + 1] for i in range(len(chain) - 1))
     conclusion = is_r_element(I, zp)
     status = "PASS" if (chain_ok and conclusion) else "FAIL"
@@ -267,7 +296,7 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
         z2=format_perm(zp),
         hypotheses=hyps,
         conclusion=conclusion,
-        chain=[poly_str(c) for c in chain],
+        chain=[spelled[c] for c in chain],
     )
     return rec
 
@@ -286,84 +315,124 @@ def verify_product(
     Each pair is ((z1, z2), (z1', z2')); the block sums z and z' are located
     in the product interval, the componentwise shortcut equivalences are
     checked in both directions, and DS symmetry of the pair in the product is
-    required whenever it holds componentwise.
+    required whenever it holds componentwise.  OrderError when a component
+    is not in its factor.
 
-    A product repeats its values across pairs.  The shortcut levels, in the
-    factors and in P, and the (p, b) ids of the factors' double expansions
-    are answered by the (v, z) tables of :mod:`~bruhatcubes.hcd` and the
-    per-bottom memos.  Four memos live for the call: per (interval, z), the
-    amazing test; per (interval, z, z'), DS symmetry; per block sum z,
-    whether its shortcuts factor; per ordered (z, z'), the inner match.
-    Block sums of ids are read from ``_block_ids``.
+    A product repeats its values across pairs, so the call works on ids and
+    keeps its answers in dicts that live for the call: per interval (a
+    factor or the product) and z, the amazing test; per factor and (z, z'),
+    DS symmetry; per block sum z, whether its shortcuts factor; per ordered
+    (z, z') of the product, its one walk and the inner match.  The factors'
+    (p, b) sets come from the per-bottom memo ``_expansion_pairs``, since
+    they recur in every product of the factor.
     """
     P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
-    records: list[dict] = []
     if pairs is None:
-        zs1 = standard_hcds(I1)
-        zs2 = standard_hcds(I2)
-        pairs = [
-            ((a1, a2), (b1, b2))
-            for a1 in zs1
-            for a2 in zs2
-            for b1 in zs1
-            for b2 in zs2
+        zs1 = [I1.index.id[z] for z in standard_hcds(I1)]
+        zs2 = [I2.index.id[z] for z in standard_hcds(I2)]
+        keys = [((a1, a2), (b1, b2)) for a1 in zs1 for a2 in zs2 for b1 in zs1 for b2 in zs2]
+    else:
+        keys = [
+            tuple((_member_key(I1, a)[3], _member_key(I2, b)[3]) for a, b in pair)
+            for pair in pairs
         ]
     factors = [
         [format_perm(I1.u), format_perm(I1.v)],
         [format_perm(I2.u), format_perm(I2.v)],
     ]
     block = _block_ids(I1.n, I2.n)
-    amazing = cache(is_amazing)
-    symmetric = cache(ds_symmetric)
+    perms = P.index.perms
+    span1, span2, whole = ((I.n, I.uid, I.vid) for I in (I1, I2, P))
+    n, u, v = whole
+    # keyed by the ids (n, u, v, ...) of an interval, so that factors that
+    # are the same interval share their answers
+    amazing: dict = {}  # (n, u, v, z): the amazing test
+    symmetric: dict = {}  # (n, u, v, z, z'): DS symmetry in a factor
+    factored: dict = {}  # z: whether the shortcuts of the block sum z factor
+    walks: dict = {}  # (z, z'): the (p, b) set and sorted (degree, b) entries
+    matched: dict = {}  # (z, z'): whether the inner expansion factors
 
-    @cache
-    def shortcuts_factor(z1: Perm, z2: Perm) -> bool:
+    def is_amazing_in(span: tuple[int, int, int], z: int) -> bool:
+        key = *span, z
+        if key not in amazing:
+            amazing[key] = _amazing(*key)
+        return amazing[key]
+
+    def ds_symmetric_in(span: tuple[int, int, int], z: int, zp: int) -> bool:
+        # answered for both orders at once; (z, z) is symmetric
+        key = *span, z, zp
+        if key not in symmetric:
+            m, a, b = span
+            holds = z == zp or (
+                _double_entries(m, a, shortcut_level, b, z, zp)
+                == _double_entries(m, a, shortcut_level, b, zp, z)
+            )
+            symmetric[key] = symmetric[m, a, b, zp, z] = holds
+        return symmetric[key]
+
+    def shortcuts_factor(zs: tuple[int, int], z: int) -> bool:
         # W^z in the product equals the block sums of the component shortcuts
-        w1, w2 = shortcut_level(*_member_key(I1, z1)), shortcut_level(*_member_key(I2, z2))
-        expected = {block[a][b] for _, a in w1 for _, b in w2}
-        return {p for _, p in shortcut_level(*_member_key(P, direct_sum(z1, z2)))} == expected
+        if z not in factored:
+            w1, w2 = shortcut_level(*span1, zs[0]), shortcut_level(*span2, zs[1])
+            expected = {block[a][b] for _, a in w1 for _, b in w2}
+            factored[z] = {p for _, p in shortcut_level(n, u, v, z)} == expected
+        return factored[z]
 
-    @cache
-    def inner_match(zs: tuple[Perm, Perm], zps: tuple[Perm, Perm]) -> bool:
+    def walk(z: int, zp: int) -> tuple:
+        key = z, zp
+        if key not in walks:
+            steps = list(double_expansion(shortcut_level, n, u, v, z, zp))
+            walks[key] = {(p, b) for _, p, b in steps}, sorted((d, b) for d, _, b in steps)
+        return walks[key]
+
+    def inner_match(zs: tuple[int, int], zps: tuple[int, int], z: int, zp: int) -> bool:
         # the (p, b) pairs of the product's double expansion of (z, z') are
         # the block sums of the factors' pairs.  This runs only once the
         # z-shortcuts factor, so both sides group their pairs by the same p,
         # and it says that for every p the shortcuts of [p, V] for the join
         # of z' and p factor
-        pairs1 = _expansion_pairs(*_pair_key(I1, zs[0], zps[0]))
-        pairs2 = _expansion_pairs(*_pair_key(I2, zs[1], zps[1]))
-        expected = {
-            (block[p1][p2], block[b1][b2]) for p1, b1 in pairs1 for p2, b2 in pairs2
-        }
-        return _expansion_ids(*_pair_key(P, direct_sum(*zs), direct_sum(*zps))) == expected
+        key = z, zp
+        if key not in matched:
+            pairs1 = _expansion_pairs(*span1, zs[0], zps[0])
+            pairs2 = _expansion_pairs(*span2, zs[1], zps[1])
+            expected = {
+                (block[p1][p2], block[b1][b2]) for p1, b1 in pairs1 for p2, b2 in pairs2
+            }
+            matched[key] = walk(z, zp)[0] == expected
+        return matched[key]
 
-    for zs, zps in pairs:
+    records: list[dict] = []
+    for zs, zps in keys:
         (z1, z2), (zp1, zp2) = zs, zps
-        z = direct_sum(z1, z2)
-        zp = direct_sum(zp1, zp2)
-        fields = {"factors": factors, "z": format_perm(z), "z2": format_perm(zp)}
-        if not (amazing(I1, z1) and amazing(I2, z2) and amazing(I1, zp1) and amazing(I2, zp2)):
+        z, zp = block[z1][z2], block[zp1][zp2]
+        fields = {"factors": factors, "z": format_perm(perms[z]), "z2": format_perm(perms[zp])}
+        if not (
+            is_amazing_in(span1, z1)
+            and is_amazing_in(span2, z2)
+            and is_amazing_in(span1, zp1)
+            and is_amazing_in(span2, zp2)
+        ):
             records.append(
                 _record("product", P, "SKIP", reason="components not amazing", **fields)
             )
             continue
-        if not (symmetric(I1, z1, zp1) and symmetric(I2, z2, zp2)):
+        if not (ds_symmetric_in(span1, z1, zp1) and ds_symmetric_in(span2, z2, zp2)):
             records.append(
                 _record("product", P, "SKIP", reason="component DS not symmetric", **fields)
             )
             continue
         problems: list[str] = []
-        if not (amazing(P, z) and amazing(P, zp)):
+        if not (is_amazing_in(whole, z) and is_amazing_in(whole, zp)):
             problems.append("block sums not amazing in the product")
-        if not shortcuts_factor(z1, z2):
+        if not shortcuts_factor(zs, z):
             problems.append("z-shortcuts do not factor")
-        if not shortcuts_factor(zp1, zp2):
+        if not shortcuts_factor(zps, zp):
             problems.append("z'-shortcuts do not factor")
-        if not problems and not inner_match(zs, zps):
+        if not problems and not inner_match(zs, zps, z, zp):
             problems.append("inner shortcuts do not factor")
-        if not problems and not inner_match(zps, zs):
+        if not problems and not inner_match(zps, zs, zp, z):
             problems.append("reverse inner shortcuts do not factor")
-        if not problems and not symmetric(P, z, zp):
+        if not problems and walk(z, zp)[1] != walk(zp, z)[1]:
             problems.append("DS symmetry does not transfer")
         if problems:
             records.append(_record("product", P, "FAIL", witness="; ".join(problems), **fields))
@@ -383,17 +452,9 @@ def _block_ids(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _expansion_ids(n: int, u: int, v: int, z: int, zp: int) -> frozenset[tuple[int, int]]:
-    """The (p, b) of the double expansion of (z, z') over shortcuts, by id."""
+@per_bottom
+def _expansion_pairs(n: int, u: int, v: int, z: int, zp: int) -> frozenset[tuple[int, int]]:
+    """The (p, b) of the double expansion of (z, z') over shortcuts, by id;
+    read for the factors of a product, whose pairs recur in every product
+    they are part of."""
     return frozenset((p, b) for _, p, b in double_expansion(shortcut_level, n, u, v, z, zp))
-
-
-# the pairs of a factor recur in every product it is part of; those of a
-# product are read once, by the inner match of its call, and skip this memo
-_expansion_pairs = per_bottom(_expansion_ids)
-
-
-def _pair_key(I: Interval, z: Perm, zp: Perm) -> tuple[int, int, int, int, int]:
-    """(n, u, v, z, z') by id, for z and z' in I."""
-    ids = I.index.id
-    return I.n, I.uid, I.vid, ids[z], ids[zp]

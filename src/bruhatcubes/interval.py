@@ -31,8 +31,9 @@ Memos are per bottom.  :func:`per_bottom` memoizes a function
 ``fn(n, u, *rest)`` in ``memos[u]`` of the rank-n index, under the key
 ``(fn, rest)``: the shortcut levels of :mod:`~bruhatcubes.hcd`, the
 antichain hypercubes of :mod:`~bruhatcubes.appendix`, the double-expansion
-entries and pairs of :mod:`~bruhatcubes.doubles` and the label passes of
-:mod:`~bruhatcubes.rpoly` live there, beside the distance tables below.  A
+entries and pairs and the Bologna chain values of
+:mod:`~bruhatcubes.doubles` and the label passes of :mod:`~bruhatcubes.rpoly`
+live there, beside the distance tables below.  A
 check of [u, v] reads only the memos of bottoms in [u, v], whose ids are at
 least u.  So :meth:`RankIndex.forget_below`, which the sweep calls whenever
 its bottom changes, drops none that a sweep visiting the bottoms in id

@@ -13,8 +13,34 @@ from typing import IO, Iterable
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def json_line(obj: dict) -> str:
-    return _ENCODER.encode(obj)
+def _line_encoder():
+    """The function behind :func:`json_line`: ``_ENCODER.encode`` without
+    the C encoder that ``encode`` builds anew for every object.  It is built
+    once, from ``json.encoder.c_make_encoder`` with the arguments that
+    ``encode`` passes; without that function, ``_ENCODER.encode`` itself."""
+    module, e = json.encoder, _ENCODER
+    if module.c_make_encoder is None:
+        return e.encode
+    markers: dict = {}
+    strings = module.encode_basestring_ascii if e.ensure_ascii else module.encode_basestring
+    encode = module.c_make_encoder(
+        markers, e.default, strings, e.indent, e.key_separator, e.item_separator,
+        e.sort_keys, e.skipkeys, e.allow_nan,
+    )
+
+    def json_line(obj: dict) -> str:
+        try:
+            return "".join(encode(obj, 0))
+        except BaseException:
+            # ``encode`` starts each object with new circular-reference
+            # markers; a failed object can leave some behind in these
+            markers.clear()
+            raise
+
+    return json_line
+
+
+json_line = _line_encoder()
 
 
 def text_line(rec: dict) -> str:

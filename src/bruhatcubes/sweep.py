@@ -117,7 +117,8 @@ def validate_config(cfg: SweepConfig) -> None:
             f"{interval_checks[0]} builds intervals, which are limited to rank {MAX_RANK}"
         )
     if cfg.mode == "sample":
-        if cfg.seed is None:
+        # only the interval checks draw pairs; product enumerates its own
+        if cfg.seed is None and interval_checks:
             raise ConfigError("sample mode requires a seed")
         if cfg.sample_size < 1:
             raise ConfigError("sample size must be positive")

@@ -172,6 +172,24 @@ def test_verify_sample_requires_seed(capsys):
     assert "seed" in err
 
 
+def test_verify_product_alone_needs_no_seed(capsys):
+    # product enumerates its own pairs, so sample mode, the default at rank
+    # 5, asks for no seed when no interval check is selected
+    bodies = []
+    for mode in ([], ["--mode", "exhaustive"]):
+        code, out, _ = run(
+            capsys, "verify", "--n", "5", "--checks", "product", *mode,
+            "--format", "json", "--no-cache",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()[1:]]
+        for rec in records:
+            del rec["fp"]
+        bodies.append(records)
+    assert bodies[0] and bodies[0] == bodies[1]
+    assert {rec["check"] for rec in bodies[0]} == {"product"}
+
+
 def test_verify_exhaustive_rank_limit(capsys):
     for n, check in ((5, "lemma-paths"), (6, "strong-ds")):
         code, _, err = run(

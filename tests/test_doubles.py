@@ -33,7 +33,13 @@ from bruhatcubes.permutations import direct_sum, format_perm, identity, longest_
 from bruhatcubes.polynomials import padd, pshift
 from bruhatcubes.rpoly import rtilde
 
-from oracles import ds_multiset_brute, interval_elements_brute, product_outcome_brute
+from oracles import (
+    ds_multiset_brute,
+    geodesics_brute,
+    interval_elements_brute,
+    product_outcome_brute,
+    shortcuts_brute,
+)
 from strategies import comparable_pair
 
 E3 = identity(3)
@@ -202,27 +208,58 @@ def test_product_explicit_pairs():
     assert rec["z"] == "23154"
 
 
-def test_product_asks_each_amazing_test_and_ds_symmetry_once(monkeypatch):
-    # a factor has at most four standard decompositions, so its tests repeat
-    # across the pairs of a product; one call answers each of them once
-    import bruhatcubes.doubles as doubles
+def test_product_component_outside_its_factor_raises():
+    # every component is checked before any test: a component outside its
+    # factor is an OrderError in either position, even where a component
+    # before it is not amazing
+    I1, I2 = interval(E3, W3), interval((1, 2), (1, 2))
+    with pytest.raises(OrderError):
+        verify_product(I1, I2, [(((1, 3, 2), (1, 2)), ((1, 2, 3), (2, 1)))])
+    with pytest.raises(OrderError):
+        verify_product(I1, I2, [(((1, 2, 3), (2, 1)), ((1, 3, 2), (1, 2)))])
 
+
+def _count_calls(monkeypatch, module, names) -> Counter:
+    """Counter of (name, args) over the calls of ``module``'s functions
+    ``names`` made through the module."""
     asked = Counter()
 
-    def counting(fn):
+    def counting(name, fn):
         def wrapper(*args):
-            asked[fn.__name__, args] += 1
+            asked[name, args] += 1
             return fn(*args)
 
         return wrapper
 
-    monkeypatch.setattr(doubles, "is_amazing", counting(doubles.is_amazing))
-    monkeypatch.setattr(doubles, "ds_symmetric", counting(doubles.ds_symmetric))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return asked
+
+
+def test_product_asks_each_amazing_test_and_ds_symmetry_once(monkeypatch):
+    # a factor has at most four standard decompositions, so its tests repeat
+    # across the pairs of a product; one call asks each amazing test, each
+    # factor DS symmetry (the DS entries of both orders) and each walk of
+    # the product once
+    import bruhatcubes.doubles as doubles
+
+    asked = _count_calls(monkeypatch, doubles, ("_amazing", "_double_entries", "double_expansion"))
     records = verify_product(I3, I3)
     assert len(records) == len(standard_hcds(I3)) ** 4
     assert {rec["status"] for rec in records} == {"PASS"}
     assert asked and max(asked.values()) == 1
-    factor_queries = [args for (_, args) in asked if args[0] == I3]
+    P = interval(direct_sum(E3, E3), direct_sum(W3, W3))
+    ids = P.index.id
+    walked = [args[4:] for name, args in asked if name == "double_expansion" and args[1] == 6]
+    sums = {ids[direct_sum(a, b)] for a in standard_hcds(I3) for b in standard_hcds(I3)}
+    assert sorted(walked) == sorted((z, zp) for z in sums for zp in sums)
+    factor = I3.n, I3.uid, I3.vid
+    factor_queries = [
+        args
+        for name, args in asked
+        if (name == "_amazing" and args[:3] == factor)
+        or (name == "_double_entries" and args[:2] == factor[:2] and args[3] == factor[2])
+    ]
     assert len(factor_queries) <= 4 + 4 * 4  # per decomposition, per pair
 
 
@@ -278,6 +315,57 @@ def test_ds_multiset_matches_brute_force_s5_s6(pair, data):
     z = data.draw(st.sampled_from(amazing), label="z")
     zp = data.draw(st.sampled_from(amazing), label="z2")
     assert ds_multiset(I, z, zp) == Counter(ds_multiset_brute(members, u, v, z, zp))
+
+
+def test_check_bologna_walks_each_ordered_pair_once(monkeypatch, clear_memos):
+    # the chains of (z, z') and (z', z) share their values, and the chain
+    # reads DS(z, z') from the memo that the DS symmetry hypothesis filled
+    import bruhatcubes.doubles as doubles
+    from bruhatcubes.sweep import check_bologna
+
+    clear_memos()
+    I = interval(identity(4), longest_element(4))
+    asked = _count_calls(monkeypatch, doubles, ("double_expansion",))
+    records = check_bologna(I)
+    amazing = [I.index.id[z] for z in enumerate_hcds(I, amazing_only=True)]
+    assert records and {rec["status"] for rec in records} == {"PASS"}
+    assert max(asked.values()) == 1
+    walked = sorted(args[4:] for _, args in asked)
+    assert walked == sorted((z, zp) for z in amazing for zp in amazing if z != zp)
+
+
+def _chain_brute(u, v, z, zp) -> list:
+    """The seven values of the Bologna chain from the brute oracles and
+    R-tilde: R-tilde_z by the geodesic shortcut definition, the two middle
+    pairs by the brute DS multisets."""
+    members = interval_elements_brute(u, v)
+
+    def rtilde_z(w):
+        total = ()
+        for p in shortcuts_brute(members, u, v, w):
+            total = padd(total, pshift(rtilde(p, v), len(geodesics_brute(members, u, p)[0]) - 1))
+        return total
+
+    def from_multiset(w, wp):
+        total = ()
+        for (d, b), k in ds_multiset_brute(members, u, v, w, wp).items():
+            for _ in range(k):
+                total = padd(total, pshift(rtilde(b, v), d))
+        return total
+
+    forward, backward = from_multiset(z, zp), from_multiset(zp, z)
+    return [rtilde(u, v), rtilde_z(z), forward, forward, backward, backward, rtilde_z(zp)]
+
+
+@given(pair=comparable_pair(max_size=24), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_bologna_chain_matches_brute_force_s5_s6(pair, data):
+    u, v = pair
+    I = interval(u, v)
+    amazing = enumerate_hcds(I, amazing_only=True)
+    z = data.draw(st.sampled_from(amazing), label="z")
+    zp = data.draw(st.sampled_from(amazing), label="z2")
+    assert bologna_chain(I, z, zp) == _chain_brute(u, v, z, zp)
 
 
 def test_double_expansions_build_no_sub_intervals(built_intervals):
