@@ -10,10 +10,10 @@ hypercube that is spanned by interval arrows into p whose sources are
 pairwise Bruhat-incomparable, has bottom equal to the interval bottom u, and
 whose vertex set meets [z, v] only at p.  Rank-0 hypercubes {p} are admitted
 and contribute exactly when p = u.  ``_hypercubes`` finds these pairs on
-permutation ids, memoized per bottom u on ``(v, z)``
-(:func:`~bruhatcubes.interval.per_bottom`), and :func:`hypercube_level`
-reads (rank, p) off them: the level that the double expansion of
-:mod:`bruhatcubes.doubles` walks for DH.  DH(z, z') then collects
+permutation ids, and :func:`hypercube_level` keeps (rank, p) of each, by id,
+in a memo of bottom u (:func:`~bruhatcubes.interval.per_bottom`): the level
+that the double expansion of :mod:`bruhatcubes.doubles` walks for DH, and
+that hw-bijection compares with the shortcut level.  DH(z, z') then collects
 (rank1 + rank2, b) over such pairs (H1, p) for [u, v] and (H2, b) for [p, v]
 with respect to the join of z' and p.
 
@@ -26,7 +26,7 @@ the orders to those labels.
 from __future__ import annotations
 
 from .doubles import DegreeMultiset, _record, double_multiset, double_symmetric, multiset_entries
-from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcuts, spans_hypercube
+from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcut_level, spans_hypercube
 from .interval import Interval, bits, per_bottom
 from .permutations import Perm, format_perm, root
 from .rpoly import constrained_orders, increasing_path_counts
@@ -76,8 +76,7 @@ def is_cosimple(I: Interval) -> bool:
 # antichain-spanned hypercubes
 
 
-@per_bottom
-def _hypercubes(n: int, u: int, v: int, z: int) -> tuple[tuple[HypercubeEmbedding, int], ...]:
+def _hypercubes(n: int, u: int, v: int, z: int):
     """(hypercube, id of p) for every antichain-spanned hypercube of [u, v]
     for z: for each p in [z, v], in id order, every antichain of the arrows
     into p from [u, v] \\ [z, v] is tested for spanning, in the order of
@@ -88,16 +87,15 @@ def _hypercubes(n: int, u: int, v: int, z: int) -> tuple[tuple[HypercubeEmbeddin
     index, mask, zv = _masks(n, u, v, z)
     perms = index.perms
     bottom = perms[u]
-    out: list[tuple[HypercubeEmbedding, int]] = []
     for k in bits(zv):
         p = perms[k]
         for sub in _antichains(index, index.in_mask[k] & mask & ~zv):
             emb = spans_hypercube(p, sub)
             if emb is not None and emb.bottom == bottom:
-                out.append((emb, k))
-    return tuple(out)
+                yield emb, k
 
 
+@per_bottom
 def hypercube_level(n: int, u: int, v: int, z: int) -> tuple[tuple[int, int], ...]:
     """The hypercube level of [u, v] for z, by id: (rank, p) for every
     antichain-spanned hypercube H with top p."""
@@ -150,11 +148,11 @@ def verify_dh_symmetry(I: Interval, z: Perm, zp: Perm, conjectural: bool = False
 def verify_hw_projection(I: Interval, z: Perm) -> dict:
     """Projection (H, p) -> p should biject the hypercube pairs onto the
     shortcut set (conjecture): injectivity plus image equality."""
-    pairs = antichain_hypercubes(I, z)
-    ps = [p for _, p in pairs]
+    key = _member_key(I, z)
+    ps = [p for _, p in hypercube_level(*key)]
     image = frozenset(ps)
     injective = len(ps) == len(image)
-    target = shortcuts(I, z)
+    target = frozenset(p for _, p in shortcut_level(*key))
     ok = injective and image == target
     rec = _record(
         "hw-bijection", I, "PASS" if ok else "FINDING", kind="hw-bijection", z=format_perm(z)
@@ -164,8 +162,8 @@ def verify_hw_projection(I: Interval, z: Perm) -> dict:
     if not ok:
         rec["witness"] = {
             "injective": injective,
-            "image": sorted(format_perm(p) for p in image),
-            "shortcut_set": sorted(format_perm(p) for p in target),
+            "image": sorted(format_perm(I.index.perms[p]) for p in image),
+            "shortcut_set": sorted(format_perm(I.index.perms[p]) for p in target),
         }
     return rec
 

@@ -144,6 +144,8 @@ def _parse_pair(args):
 
 
 def cmd_rtilde(args, fh) -> int:
+    if args.order_word is not None and args.method == "recurrence":
+        raise ConfigError("--order-word is read only by --method dyer or both")
     u, v = _parse_pair(args)
     if args.method in ("dyer", "both"):
         if args.order_word:

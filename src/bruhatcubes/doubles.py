@@ -13,18 +13,19 @@ keyed by (degree, element).
 
 The Bologna chain of [u, v] repeats its values across its pairs: the chains
 of (z, z') and (z', z) hold the same six values besides R-tilde(u, v).
-``_chain_value``, one memo per bottom, keeps by id R-tilde_z for each z, and
-for each ordered pair (z, z') the expansion summed two ways: over the joins,
-from the R-tilde_j of [p, v] in the memo of bottom p, and over DS(z, z').
+R-tilde_z, at both ends and as the R-tilde_j of [p, v] over the joins, is
+read from the per-bottom memo of :mod:`~bruhatcubes.hcd`; ``_chain_sums``,
+one memo per bottom, keeps by id for each ordered pair (z, z') the
+expansion summed two ways, over the joins and over DS(z, z').
 
 The product check repeats its values across the pairs of one product.
 :func:`verify_product` works on ids throughout: block sums come from the
 table ``_block_ids``; the factors' double-expansion (p, b) sets from the
-per-bottom memo ``_expansion_pairs``; and dicts that live for one call keep
-the amazing tests, the factors' DS symmetry, whether the shortcuts of a
-block sum factor, the inner matches, and the walks of the product, one per
-ordered pair, which give both its (p, b) set and its sorted (degree, b)
-entries.
+per-bottom memo ``_expansion_pairs``; and ``functools.cache`` closures
+that live for one call keep the amazing tests, the factors' DS symmetry,
+whether the shortcuts of a block sum factor, the inner matches, and the
+walks of the product, one per ordered pair, which give both its (p, b) set
+and its sorted (degree, b) entries.
 
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
@@ -35,7 +36,7 @@ SKIP (hypotheses not met).
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import OrderError
 from .interval import Interval, interval, per_bottom, rank_index
@@ -46,7 +47,7 @@ from .hcd import (
     _join_id,
     _member_key,
     _row_holds,
-    _rtilde_sum,
+    _rtilde_z,
     enumerate_hcds,
     is_amazing,
     is_amazing_r_element,
@@ -219,18 +220,14 @@ def verify_em0(I: Interval) -> dict:
 
 
 @per_bottom
-def _chain_value(n: int, u: int, v: int, z: int, zp: int | None = None):
-    """A value of the Bologna chain of [u, v] that recurs across its pairs,
-    by id.  For z alone, R-tilde_z: the sum of q^d R-tilde(p, v) over the
-    shortcut level of z.  For (z, z'), the expansion of (z, z') summed two
-    ways: over the joins j of z' with the z-shortcuts p, q^a times the
-    R-tilde_j of [p, v] (a value of bottom p); and over DS(z, z'), q^d
-    R-tilde(b, v) times the multiplicity."""
-    if zp is None:
-        return _rtilde_sum(n, v, shortcut_level(n, u, v, z))
+def _chain_sums(n: int, u: int, v: int, z: int, zp: int) -> tuple[QPoly, QPoly]:
+    """The expansion of (z, z') in [u, v] summed two ways, by id: over the
+    joins j of z' with the z-shortcuts p, q^a times the R-tilde_j of [p, v]
+    (a value of bottom p); and over DS(z, z'), q^d R-tilde(b, v) times the
+    multiplicity."""
     walk: QPoly = ZERO
     for a, p, j in _joins(shortcut_level, n, u, v, z, zp):
-        walk = padd(walk, pshift(_chain_value(n, p, v, j), a))
+        walk = padd(walk, pshift(_rtilde_z(n, p, v, j), a))
     top = rank_index(n).perms[v]
     multiset: QPoly = ZERO
     for (a, b), k in _double_entries(n, u, shortcut_level, v, z, zp):
@@ -242,21 +239,21 @@ def bologna_chain(I: Interval, z: Perm, zp: Perm) -> list[QPoly]:
     """The seven successive expressions of the double-expansion identity:
     starting from R-tilde(u, v), expand through z, through the joins of z'
     with the z-shortcuts, through both multisets, and back through z'.
-    Each value but R-tilde(u, v) is read from ``_chain_value``, so the
+    Each value but R-tilde(u, v) is read from a per-bottom memo, so the
     chains of (z, z') and (z', z) compute their six shared values once."""
     I.require(z, zp)
     n, u, v, ids = I.n, I.uid, I.vid, I.index.id
     z, zp = ids[z], ids[zp]
-    walk, multiset = _chain_value(n, u, v, z, zp)
-    walk_rev, multiset_rev = _chain_value(n, u, v, zp, z)
+    walk, multiset = _chain_sums(n, u, v, z, zp)
+    walk_rev, multiset_rev = _chain_sums(n, u, v, zp, z)
     return [
         rtilde(I.u, I.v),
-        _chain_value(n, u, v, z),
+        _rtilde_z(n, u, v, z),
         walk,
         multiset,
         multiset_rev,
         walk_rev,
-        _chain_value(n, u, v, zp),
+        _rtilde_z(n, u, v, zp),
     ]
 
 
@@ -319,12 +316,12 @@ def verify_product(
     is not in its factor.
 
     A product repeats its values across pairs, so the call works on ids and
-    keeps its answers in dicts that live for the call: per interval (a
-    factor or the product) and z, the amazing test; per factor and (z, z'),
-    DS symmetry; per block sum z, whether its shortcuts factor; per ordered
-    (z, z') of the product, its one walk and the inner match.  The factors'
-    (p, b) sets come from the per-bottom memo ``_expansion_pairs``, since
-    they recur in every product of the factor.
+    keeps its answers in ``functools.cache`` closures that live for the
+    call: per interval and z, the amazing test; per factor and sorted
+    (z, z'), DS symmetry; per block sum z, whether its shortcuts factor; per
+    ordered (z, z') of the product, its one walk and the inner match.  The
+    factors' (p, b) sets come from the per-bottom memo ``_expansion_pairs``,
+    since they recur in every product of the factor.
     """
     P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
     if pairs is None:
@@ -344,62 +341,43 @@ def verify_product(
     perms = P.index.perms
     span1, span2, whole = ((I.n, I.uid, I.vid) for I in (I1, I2, P))
     n, u, v = whole
-    # keyed by the ids (n, u, v, ...) of an interval, so that factors that
+    # keyed by the ids (n, u, v, z) of an interval, so that factors that
     # are the same interval share their answers
-    amazing: dict = {}  # (n, u, v, z): the amazing test
-    symmetric: dict = {}  # (n, u, v, z, z'): DS symmetry in a factor
-    factored: dict = {}  # z: whether the shortcuts of the block sum z factor
-    walks: dict = {}  # (z, z'): the (p, b) set and sorted (degree, b) entries
-    matched: dict = {}  # (z, z'): whether the inner expansion factors
+    is_amazing_in = cache(_amazing)
 
-    def is_amazing_in(span: tuple[int, int, int], z: int) -> bool:
-        key = *span, z
-        if key not in amazing:
-            amazing[key] = _amazing(*key)
-        return amazing[key]
+    @cache
+    def ds_symmetric_in(m: int, a: int, b: int, z: int, zp: int) -> bool:
+        # asked with z <= z', so one answer serves both orders; (z, z) is symmetric
+        return z == zp or (
+            _double_entries(m, a, shortcut_level, b, z, zp)
+            == _double_entries(m, a, shortcut_level, b, zp, z)
+        )
 
-    def ds_symmetric_in(span: tuple[int, int, int], z: int, zp: int) -> bool:
-        # answered for both orders at once; (z, z) is symmetric
-        key = *span, z, zp
-        if key not in symmetric:
-            m, a, b = span
-            holds = z == zp or (
-                _double_entries(m, a, shortcut_level, b, z, zp)
-                == _double_entries(m, a, shortcut_level, b, zp, z)
-            )
-            symmetric[key] = symmetric[m, a, b, zp, z] = holds
-        return symmetric[key]
+    @cache
+    def shortcuts_factor(z1: int, z2: int) -> bool:
+        # W^z of the block sum z equals the block sums of the component shortcuts
+        w1, w2 = shortcut_level(*span1, z1), shortcut_level(*span2, z2)
+        expected = {block[a][b] for _, a in w1 for _, b in w2}
+        return {p for _, p in shortcut_level(n, u, v, block[z1][z2])} == expected
 
-    def shortcuts_factor(zs: tuple[int, int], z: int) -> bool:
-        # W^z in the product equals the block sums of the component shortcuts
-        if z not in factored:
-            w1, w2 = shortcut_level(*span1, zs[0]), shortcut_level(*span2, zs[1])
-            expected = {block[a][b] for _, a in w1 for _, b in w2}
-            factored[z] = {p for _, p in shortcut_level(n, u, v, z)} == expected
-        return factored[z]
-
+    @cache
     def walk(z: int, zp: int) -> tuple:
-        key = z, zp
-        if key not in walks:
-            steps = list(double_expansion(shortcut_level, n, u, v, z, zp))
-            walks[key] = {(p, b) for _, p, b in steps}, sorted((d, b) for d, _, b in steps)
-        return walks[key]
+        steps = list(double_expansion(shortcut_level, n, u, v, z, zp))
+        return {(p, b) for _, p, b in steps}, sorted((d, b) for d, _, b in steps)
 
+    @cache
     def inner_match(zs: tuple[int, int], zps: tuple[int, int], z: int, zp: int) -> bool:
         # the (p, b) pairs of the product's double expansion of (z, z') are
         # the block sums of the factors' pairs.  This runs only once the
         # z-shortcuts factor, so both sides group their pairs by the same p,
         # and it says that for every p the shortcuts of [p, V] for the join
         # of z' and p factor
-        key = z, zp
-        if key not in matched:
-            pairs1 = _expansion_pairs(*span1, zs[0], zps[0])
-            pairs2 = _expansion_pairs(*span2, zs[1], zps[1])
-            expected = {
-                (block[p1][p2], block[b1][b2]) for p1, b1 in pairs1 for p2, b2 in pairs2
-            }
-            matched[key] = walk(z, zp)[0] == expected
-        return matched[key]
+        pairs1 = _expansion_pairs(*span1, zs[0], zps[0])
+        pairs2 = _expansion_pairs(*span2, zs[1], zps[1])
+        expected = {
+            (block[p1][p2], block[b1][b2]) for p1, b1 in pairs1 for p2, b2 in pairs2
+        }
+        return walk(z, zp)[0] == expected
 
     records: list[dict] = []
     for zs, zps in keys:
@@ -407,26 +385,29 @@ def verify_product(
         z, zp = block[z1][z2], block[zp1][zp2]
         fields = {"factors": factors, "z": format_perm(perms[z]), "z2": format_perm(perms[zp])}
         if not (
-            is_amazing_in(span1, z1)
-            and is_amazing_in(span2, z2)
-            and is_amazing_in(span1, zp1)
-            and is_amazing_in(span2, zp2)
+            is_amazing_in(*span1, z1)
+            and is_amazing_in(*span2, z2)
+            and is_amazing_in(*span1, zp1)
+            and is_amazing_in(*span2, zp2)
         ):
             records.append(
                 _record("product", P, "SKIP", reason="components not amazing", **fields)
             )
             continue
-        if not (ds_symmetric_in(span1, z1, zp1) and ds_symmetric_in(span2, z2, zp2)):
+        if not (
+            ds_symmetric_in(*span1, *sorted((z1, zp1)))
+            and ds_symmetric_in(*span2, *sorted((z2, zp2)))
+        ):
             records.append(
                 _record("product", P, "SKIP", reason="component DS not symmetric", **fields)
             )
             continue
         problems: list[str] = []
-        if not (is_amazing_in(whole, z) and is_amazing_in(whole, zp)):
+        if not (is_amazing_in(*whole, z) and is_amazing_in(*whole, zp)):
             problems.append("block sums not amazing in the product")
-        if not shortcuts_factor(zs, z):
+        if not shortcuts_factor(*zs):
             problems.append("z-shortcuts do not factor")
-        if not shortcuts_factor(zps, zp):
+        if not shortcuts_factor(*zps):
             problems.append("z'-shortcuts do not factor")
         if not problems and not inner_match(zs, zps, z, zp):
             problems.append("inner shortcuts do not factor")

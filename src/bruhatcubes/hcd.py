@@ -27,8 +27,9 @@ bottom, shared by every interval with that bottom.  The shortcut level
 by id: one of the two levels that the double expansion of
 :mod:`bruhatcubes.doubles` walks.  It is a per-bottom memo of the rank
 index (:func:`~bruhatcubes.interval.per_bottom`), dropped once the sweep
-passes u; ``_r_element``, which keeps its own answer, calls the plain
-``_shortcut_level``.
+passes u, and so is R-tilde_z, ``_rtilde_z``, which :func:`rtilde_z` and
+the Bologna chain read; ``_r_element``, which keeps its own answer, calls
+the plain ``_shortcut_level`` and sums R-tilde_z unmemoized.
 
 The four predicates of the sweep run on permutation ids and take
 ``(n, u, v, z)``, the rank and the ids of u, v and z.  Each kernel reads
@@ -482,9 +483,15 @@ def _rtilde_sum(n: int, v: int, terms) -> QPoly:
     return total
 
 
+@per_bottom
+def _rtilde_z(n: int, u: int, v: int, z: int) -> QPoly:
+    """R-tilde_z of [u, v], by id, summed over the shortcut level of z."""
+    return _rtilde_sum(n, v, shortcut_level(n, u, v, z))
+
+
 def rtilde_z(I: Interval, z: Perm) -> QPoly:
     """Sum of q^{d(u,p)} R-tilde(p, v) over the shortcuts p for z."""
-    return _rtilde_sum(I.n, I.vid, shortcut_level(*_member_key(I, z)))
+    return _rtilde_z(*_member_key(I, z))
 
 
 def _r_element(n: int, u: int, v: int, z: int) -> bool:

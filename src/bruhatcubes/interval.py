@@ -29,9 +29,9 @@ in that order, and the lowest set bit of a mask is its first member;
 
 Memos are per bottom.  :func:`per_bottom` memoizes a function
 ``fn(n, u, *rest)`` in ``memos[u]`` of the rank-n index, under the key
-``(fn, rest)``: the shortcut levels of :mod:`~bruhatcubes.hcd`, the
-antichain hypercubes of :mod:`~bruhatcubes.appendix`, the double-expansion
-entries and pairs and the Bologna chain values of
+``(fn, rest)``: the shortcut levels and R-tilde_z of :mod:`~bruhatcubes.hcd`,
+the hypercube levels of :mod:`~bruhatcubes.appendix`, the double-expansion
+entries and pairs and the Bologna chain's pair sums of
 :mod:`~bruhatcubes.doubles` and the label passes of :mod:`~bruhatcubes.rpoly`
 live there, beside the distance tables below.  A
 check of [u, v] reads only the memos of bottoms in [u, v], whose ids are at

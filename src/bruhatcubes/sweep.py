@@ -77,7 +77,7 @@ class SweepConfig(NamedTuple):
             "checks": list(self.checks),
             "mode": self.mode,
             "sample_size": self.sample_size if self.mode == "sample" else None,
-            "seed": self.seed,
+            "seed": self.seed if self.mode == "sample" else None,
             "max_interval_size": self.max_interval_size,
         }
 

@@ -182,9 +182,9 @@ def test_antichain_hypercubes_match_brute_force_s5_s6(pair, data):
 def _assert_window_order(u, v):
     """``_hypercubes`` tests the antichains of the window enumeration that
     have no source above z, in its order, and lists its hypercubes in that
-    order (hw-bijection reads it).  The oracle keeps every antichain and
-    filters the vertex sets by [z, v], so the output comparison shows that
-    skipping the sources in [z, v] loses no hypercube."""
+    order (the hypercube level reads it).  The oracle keeps every antichain
+    and filters the vertex sets by [z, v], so the output comparison shows
+    that skipping the sources in [z, v] loses no hypercube."""
     I = interval(u, v)
     members = interval_elements_brute(u, v)
     for z in I.elements:
@@ -195,7 +195,7 @@ def _assert_window_order(u, v):
             return spans_hypercube(top, sources)
 
         with mock.patch.object(appendix, "spans_hypercube", spy):
-            found = appendix._hypercubes.__wrapped__(*_member_key(I, z))
+            found = list(appendix._hypercubes(*_member_key(I, z)))
         outside = [
             (p, sub)
             for p, sub in window_antichains(members, z)

@@ -72,6 +72,16 @@ def test_rtilde_explicit_order_word(capsys):
     assert code == 0 and out.strip() == "q^3+q"
 
 
+def test_rtilde_order_word_needs_dyer_or_both_exits_5(capsys):
+    # the recurrence reads no reflection order
+    for method in ((), ("--method", "recurrence")):
+        code, out, err = run(
+            capsys, "rtilde", "--u", "123", "--v", "321", *method,
+            "--order-word", "1,1,1", "--no-cache",
+        )
+        assert (code, out) == (5, "") and "--order-word" in err
+
+
 def test_rtilde_json_coeffs(capsys):
     code, out, _ = run(
         capsys, "rtilde", "--u", "123", "--v", "321", "--format", "json", "--no-cache"
@@ -373,6 +383,17 @@ def test_sweep_config_fields_defaults_and_fingerprint():
         "n": 4, "checks": ["dyer"], "mode": "sample", "sample_size": 3,
         "seed": 7, "max_interval_size": None,
     }
+
+
+def test_exhaustive_report_body_ignores_an_unused_seed(capsys):
+    # an exhaustive sweep draws no pairs, so its fingerprint holds no seed
+    argv = ["verify", "--n", "3", "--checks", "dyer", "--mode", "exhaustive", "--format", "json"]
+    bodies = []
+    for seed in ((), ("--seed", "1"), ("--seed", "2")):
+        code, out, _ = run(capsys, *argv, *seed, "--no-cache")
+        assert code == 0
+        bodies.append(out.splitlines()[1:])
+    assert bodies[0] and bodies[0] == bodies[1] == bodies[2]
 
 
 def test_size_bound_below_one_is_rejected():
@@ -725,16 +746,11 @@ def test_finding_records_carry_what_the_library_computes(monkeypatch):
     I = interval((1, 2, 3, 4), (4, 3, 2, 1))
     amazing = enumerate_hcds(I, amazing_only=True)
     z, zp = amazing[1], amazing[2]
-    real_hypercubes = appendix.antichain_hypercubes
-    image = sorted({format_perm(p) for _, p in real_hypercubes(I, z)})
+    image = sorted({format_perm(p) for _, p in appendix.antichain_hypercubes(I, z)})
     assert image
     monkeypatch.setattr(doubles, "is_r_element", lambda I, z: False)
     monkeypatch.setattr(doubles, "ds_symmetric", lambda I, z, zp: False)
     monkeypatch.setattr(appendix, "dh_symmetric", lambda I, z, zp: False)
-    # a repeated pair makes the projection fail to be injective
-    monkeypatch.setattr(
-        appendix, "antichain_hypercubes", lambda I, z: [*real_hypercubes(I, z)] * 2
-    )
 
     rec = doubles.verify_congettura(I)
     assert (rec["status"], rec["z"]) == ("FINDING", format_perm(amazing[0]))
@@ -746,6 +762,10 @@ def test_finding_records_carry_what_the_library_computes(monkeypatch):
     assert rec["status"] == "FINDING"
     assert rec["dh"] == multiset_entries(dh_multiset(I, z, zp))
     assert rec["dh_rev"] == multiset_entries(dh_multiset(I, zp, z))
+    # a repeated pair makes the projection fail to be injective; patched
+    # here, after the DH records, which walk the same level
+    real_level = appendix.hypercube_level
+    monkeypatch.setattr(appendix, "hypercube_level", lambda *key: real_level(*key) * 2)
     rec = appendix.verify_hw_projection(I, z)
     assert rec["status"] == "FINDING"
     assert rec["witness"] == {

@@ -263,6 +263,75 @@ def test_product_asks_each_amazing_test_and_ds_symmetry_once(monkeypatch):
     assert len(factor_queries) <= 4 + 4 * 4  # per decomposition, per pair
 
 
+def _product_outcomes(monkeypatch, name, fault) -> Counter:
+    """The (status, witness) pairs of ``verify_product(I3, I3)`` with
+    ``doubles.<name>`` replaced by ``fault`` of it: the product check reads
+    these names through the module.  I3 has two standard decompositions, so
+    the product has 16 pairs, every one a PASS unfaulted."""
+    import bruhatcubes.doubles as doubles
+
+    assert len(standard_hcds(I3)) == 2
+    monkeypatch.setattr(doubles, name, fault(getattr(doubles, name)))
+    return Counter((rec["status"], rec.get("witness")) for rec in verify_product(I3, I3))
+
+
+def test_product_fails_when_block_sums_are_not_amazing(monkeypatch):
+    # the factors have rank 3, their product rank 6
+    def fault(real):
+        return lambda n, u, v, z: n != 6 and real(n, u, v, z)
+
+    assert _product_outcomes(monkeypatch, "_amazing", fault) == {
+        ("FAIL", "block sums not amazing in the product"): 16
+    }
+
+
+def test_product_fails_when_shortcuts_do_not_factor(monkeypatch):
+    # the product's shortcut levels lose their first shortcut
+    def fault(real):
+        return lambda n, u, v, z: real(n, u, v, z)[1:] if n == 6 else real(n, u, v, z)
+
+    assert _product_outcomes(monkeypatch, "shortcut_level", fault) == {
+        ("FAIL", "z-shortcuts do not factor; z'-shortcuts do not factor"): 16
+    }
+
+
+def test_product_fails_when_inner_shortcuts_do_not_factor(monkeypatch):
+    # a factor's (p, b) set of (z, z') loses one pair when z > z'.  The
+    # inner match of a product pair fails when a component has z > z'
+    # (7 pairs); else the reverse match fails when one has z < z' (5)
+    def fault(real):
+        def fewer(n, u, v, z, zp):
+            pairs = real(n, u, v, z, zp)
+            return frozenset(sorted(pairs)[1:]) if z > zp else pairs
+
+        return fewer
+
+    assert _product_outcomes(monkeypatch, "_expansion_pairs", fault) == {
+        ("FAIL", "inner shortcuts do not factor"): 7,
+        ("FAIL", "reverse inner shortcuts do not factor"): 5,
+        ("PASS", None): 4,
+    }
+
+
+def test_product_fails_when_ds_symmetry_does_not_transfer(monkeypatch):
+    # one degree of the product's walk of (z, z') is raised when z < z', so
+    # the (p, b) sets still match and only the 12 pairs with z != z' break
+    def fault(real):
+        def shifted(level, n, u, v, z, zp):
+            steps = list(real(level, n, u, v, z, zp))
+            if n == 6 and z < zp:
+                (d, p, b), *rest = steps
+                steps = [(d + 1, p, b), *rest]
+            return steps
+
+        return shifted
+
+    assert _product_outcomes(monkeypatch, "double_expansion", fault) == {
+        ("FAIL", "DS symmetry does not transfer"): 12,
+        ("PASS", None): 4,
+    }
+
+
 def _assert_product_matches_brute(I1, I2, pairs=None):
     """verify_product against the brute oracle, record by record: status,
     reason and witness of every pair, in the order of ``pairs`` (the
