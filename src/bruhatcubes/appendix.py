@@ -1,9 +1,10 @@
 """Co-simple intervals, antichain-spanned hypercubes, and DH multisets.
 
 An interval is co-simple when the roots e_i - e_j labeling the lower covers
-of its top are linearly independent; the labels are read off the arrows of
-the rank index, and rank is computed exactly over the integers
-(fraction-free elimination), never in floating point.
+of its top are linearly independent.  The labels are read by id off the
+arrows of the rank index, and independence is decided exactly by the forest
+criterion: the labels (i, j), read as edges on {1, ..., n}, have independent
+roots iff they contain no cycle.
 
 The hypercube family used for DH pairs a target p in [z, v] with every
 hypercube that is spanned by interval arrows into p whose sources are
@@ -20,56 +21,52 @@ with respect to the join of z' and p.
 The increasing-path lemma compares the tables of many reflection orders.  A
 table reads only the labels of arrows inside the interval, so
 :func:`verify_lemma_incpaths` computes one table per distinct restriction of
-the orders to those labels.
+the orders to those labels, and compares them as the packed counts of the
+label pass by id, without decoding them into rows.
 """
 
 from __future__ import annotations
 
-from .doubles import DegreeMultiset, _record, double_multiset, double_symmetric, multiset_entries
+from .doubles import (
+    DegreeMultiset,
+    _record,
+    double_multiset,
+    double_symmetric,
+    multiset_entries,
+    partition_by_relation,
+)
 from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcut_level, spans_hypercube
 from .interval import Interval, bits, per_bottom
-from .permutations import Perm, format_perm, root
-from .rpoly import constrained_orders, increasing_path_counts
+from .permutations import Perm, Reflection, format_perm
+from .rpoly import _label_pass, constrained_orders
 
 
 # ---------------------------------------------------------------------------
 # co-simple detection
 
 
-def integer_rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = m[r][col]
-            for c in range(n_cols):
-                m[r][c] = (m[r][c] * pivot - factor * m[rank][c]) // prev
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def coatom_root_matrix(I: Interval) -> list[tuple[int, ...]]:
-    """One root row per lower cover of the interval top."""
+def _coatom_labels(I: Interval, x: int) -> frozenset[Reflection]:
+    """The labels of the coatom arrows c -> v of [x, v], for the id x of a
+    member: c in [x, v] with an arrow into v, one length below v."""
     index, v = I.index, I.vid
-    return [root(index.arrows[index.id[c]][v], I.n) for c in sorted(I.covers_of(I.v))]
+    arrows, length = index.arrows, index.length
+    below = length[v] - 1
+    return frozenset(
+        arrows[c][v] for c in bits(index.in_mask[v] & I.mask & index.up[x]) if length[c] == below
+    )
 
 
 def is_cosimple(I: Interval) -> bool:
-    rows = coatom_root_matrix(I)
-    return integer_rank(rows) == len(rows)
+    """True iff the roots e_i - e_j of the coatom labels (i, j) of I are
+    linearly independent: iff the labels, read as edges on {1, ..., n}, form
+    a forest, that is, number their ends less their connected components.
+    The signed roots of a cycle sum to zero, and a leaf's root is the only
+    one with a nonzero entry at the leaf.  Distinct coatoms have distinct
+    labels, so no edge repeats."""
+    labels = _coatom_labels(I, I.uid)
+    ends = {i for t in labels for i in t}
+    components = partition_by_relation(labels, lambda s, t: s[0] in t or s[1] in t)
+    return len(labels) == len(ends) - len(components)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +168,9 @@ def verify_hw_projection(I: Interval, z: Perm) -> dict:
 def coatom_precedence_constraints(I: Interval, z: Perm) -> frozenset:
     """Every coatom label of [u, v] outside [z, v] precedes every coatom
     label of [z, v]."""
-    c_uv = I.coatom_reflections(I.u, I.v)
-    c_zv = I.coatom_reflections(z, I.v)
+    I.require(z)
+    c_uv = _coatom_labels(I, I.uid)
+    c_zv = _coatom_labels(I, I.index.id[z])
     return frozenset((t, tp) for t in c_uv - c_zv for tp in c_zv)
 
 
@@ -195,12 +193,6 @@ def crossing_precedence_constraints(I: Interval, z: Perm) -> frozenset:
         elif zv >> y & 1:
             crossing.add(t)
     return frozenset((t, tp) for t in crossing for tp in interior)
-
-
-def _table_key(table: dict[Perm, dict[int, int]]):
-    return tuple(
-        (p, tuple(sorted(row.items()))) for p, row in sorted(table.items())
-    )
 
 
 def verify_lemma_incpaths(
@@ -247,10 +239,16 @@ def verify_lemma_incpaths(
             reason="no constrained order exists",
         )
     # the label pass reads only the labels of arrows inside I, so orders
-    # with the same restriction to them give the same table: one per group
+    # with the same restriction to them give the same table: one per group.
+    # Tables are compared as the packed counts of the ids of [z, v], as
+    # ``increasing_path_counts`` computes them: limbs never carry, and an
+    # id without counts has an empty row
     labels = {t for _, _, t in I.arrow_ids()}
     groups = {tuple(t for t in o.sequence if t in labels): o for o in orders}
-    keys = {_table_key(increasing_path_counts(I, z, o)) for o in groups.values()}
+    zv = I.upper(z)
+    ids = bits(zv)
+    passes = (_label_pass(I.n, I.uid, o, I.mask, zv) for o in groups.values())
+    keys = {tuple(counts.get(p, 0) for p in ids) for counts in passes}
     if len(keys) == 1:
         status = "PASS"
     else:

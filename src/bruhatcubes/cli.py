@@ -32,7 +32,7 @@ from .rpoly import (
     rtilde_dyer,
     set_cache,
 )
-from .sweep import ALL_CHECKS, SweepConfig, run_sweep
+from .sweep import ALL_CHECKS, SweepConfig, run_sweep, validate_config
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,26 +42,25 @@ EXIT_IO = 4
 EXIT_CONFIG = 5
 
 
-def _with_memo(command):
-    """``command`` run with the polynomial memo that its args ask for
-    installed, closing the one it replaces; the memo's file is closed when
-    the command ends, and the memo stays installed and readable."""
-
-    def run(args, fh) -> int:
-        cache = PolyCache(None if args.no_cache else args.cache or default_cache_path())
-        set_cache(cache).close()
-        try:
-            return command(args, fh)
-        finally:
-            cache.close()
-
-    return run
+@contextmanager
+def _memo(args):
+    """The polynomial memo that ``args`` ask for, installed in place of the
+    one it replaces, which is closed; its file is closed on exit, and the
+    memo stays installed and readable.  A command installs it only once its
+    options are read, so that a refused command creates no cache file."""
+    cache = PolyCache(None if args.no_cache else args.cache or default_cache_path())
+    set_cache(cache).close()
+    try:
+        yield
+    finally:
+        cache.close()
 
 
 def _command(sub, name: str, help_text: str, run, *perms: str, reads_rtilde: bool = False):
     """The subparser of ``name``, which runs ``run(args, fh)``: the output
     options, a required window option for each of ``perms`` and, for a
-    command that evaluates R-tilde, the memo options."""
+    command that evaluates R-tilde, the memo options, which ``run`` reads
+    through :func:`_memo`."""
     p = sub.add_parser(name, help=help_text)
     for perm in perms:
         p.add_argument(f"--{perm}", required=True)
@@ -70,7 +69,6 @@ def _command(sub, name: str, help_text: str, run, *perms: str, reads_rtilde: boo
     if reads_rtilde:
         p.add_argument("--cache", metavar="PATH", help="polynomial cache file (default: $BRUHAT_CACHE)")
         p.add_argument("--no-cache", action="store_true", help="keep the polynomial memo in memory only")
-        run = _with_memo(run)
     p.set_defaults(run=run)
     return p
 
@@ -159,18 +157,19 @@ def cmd_rtilde(args, fh) -> int:
         else:
             order = canonical_orders(len(u), 1)[0]
         by_paths = rtilde_dyer(interval(u, v), order)
+    with _memo(args):
+        rec = None if args.method == "dyer" else rtilde(u, v)
     if args.method == "recurrence":
-        result = poly_str(rtilde(u, v))
+        result = poly_str(rec)
     elif args.method == "dyer":
         result = poly_str(by_paths)
     else:
-        rec = rtilde(u, v)
         verdict = "AGREE" if rec == by_paths else "DISAGREE"
         result = f"{poly_str(rec)} | {poly_str(by_paths)} | {verdict}"
     if args.format == "json":
         payload = {"u": args.u, "v": args.v, "method": args.method, "result": result}
-        if args.method != "dyer":
-            payload["coeffs"] = list(rtilde(u, v))
+        if rec is not None:
+            payload["coeffs"] = list(rec)
         fh.write(json_line(payload) + "\n")
     else:
         fh.write(result + "\n")
@@ -263,7 +262,9 @@ def cmd_verify(args, fh) -> int:
         max_interval_size=max_size,
         timings=args.timings,
     )
-    header, records, code = run_sweep(cfg)
+    validate_config(cfg)
+    with _memo(args):
+        header, records, code = run_sweep(cfg)
     write_report(fh, header, records, args.format)
     return code
 

@@ -245,14 +245,6 @@ def direct_sum(a: Perm, b: Perm) -> Perm:
     return a + tuple(val + k for val in b)
 
 
-def root(t: Reflection, n: int) -> tuple[int, ...]:
-    """The integer vector e_i - e_j attached to the reflection (i, j)."""
-    vec = [0] * n
-    vec[t[0] - 1] = 1
-    vec[t[1] - 1] = -1
-    return tuple(vec)
-
-
 def from_word(n: int, word) -> Perm:
     """Product of the simple generators listed in ``word``."""
     w = list(range(1, n + 1))

@@ -8,7 +8,8 @@ window arithmetic, except that the R-element form reads R-tilde values from
 ``rpoly.rtilde``, which ``test_rpoly`` checks against the path-counting route,
 and ``hypercubes_by_windows`` calls ``hcd.spans_hypercube``: it pins the order
 in which hypercubes are listed, not the spanning test, which
-``antichain_hypercubes_brute`` checks.
+``antichain_hypercubes_brute`` checks.  Co-simplicity is decided here as
+linear algebra: the exact integer rank of the coatom roots.
 """
 
 from __future__ import annotations
@@ -83,6 +84,59 @@ def tableau_leq(x: Perm, y: Perm) -> bool:
         if any(a > b for a, b in zip(xs, ys)):
             return False
     return True
+
+
+def root(t: tuple[int, int], n: int) -> tuple[int, ...]:
+    """The integer vector e_i - e_j attached to the reflection (i, j)."""
+    vec = [0] * n
+    vec[t[0] - 1] = 1
+    vec[t[1] - 1] = -1
+    return tuple(vec)
+
+
+def integer_rank(rows: list[tuple[int, ...]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(n_cols):
+        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            factor = m[r][col]
+            for c in range(n_cols):
+                m[r][c] = (m[r][c] * pivot - factor * m[rank][c]) // prev
+        prev = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def coatom_roots_brute(u: Perm, v: Perm) -> list[tuple[int, ...]]:
+    """The root of each coatom label of [u, v], in label order: the
+    transpositions t of positions with v*t one length below v and, by the
+    tableau criterion, at or above u."""
+    n, below = len(v), length(v) - 1
+    rows = []
+    for t in itertools.combinations(range(1, n + 1), 2):
+        c = list(v)
+        c[t[0] - 1], c[t[1] - 1] = c[t[1] - 1], c[t[0] - 1]
+        if length(tuple(c)) == below and tableau_leq(u, tuple(c)):
+            rows.append(root(t, n))
+    return rows
+
+
+def cosimple_brute(u: Perm, v: Perm) -> bool:
+    """True iff the coatom roots of [u, v] have full integer rank."""
+    rows = coatom_roots_brute(u, v)
+    return integer_rank(rows) == len(rows)
 
 
 def interval_elements_brute(u: Perm, v: Perm) -> set[Perm]:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from unittest import mock
 
@@ -6,13 +7,10 @@ from hypothesis import strategies as st
 
 from bruhatcubes import appendix
 from bruhatcubes.appendix import (
-    _table_key,
     antichain_hypercubes,
     coatom_precedence_constraints,
-    coatom_root_matrix,
     crossing_precedence_constraints,
     dh_multiset,
-    integer_rank,
     is_cosimple,
     verify_dh_symmetry,
     verify_hw_projection,
@@ -32,9 +30,12 @@ from bruhatcubes.rpoly import all_reflection_orders, constrained_orders, increas
 
 from oracles import (
     antichain_hypercubes_brute,
+    coatom_roots_brute,
+    cosimple_brute,
     dh_multiset_brute,
     hypercubes_by_windows,
     increasing_paths_brute,
+    integer_rank,
     interval_elements_brute,
     subword_leq,
     window_antichains,
@@ -48,10 +49,11 @@ Z, ZP = (2, 3, 1), (3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
-# exact rank
+# co-simplicity
 
 
 def test_integer_rank_basics():
+    # the rank oracle that the forest criterion is checked against
     assert integer_rank([]) == 0
     assert integer_rank([(0, 0, 0)]) == 0
     assert integer_rank([(1, -1, 0), (0, 1, -1)]) == 2
@@ -66,7 +68,7 @@ def test_integer_rank_basics():
 
 def test_cosimple_examples():
     assert is_cosimple(I3)
-    assert coatom_root_matrix(I3) == [(1, -1, 0), (0, 1, -1)]
+    assert coatom_roots_brute(E3, W3) == [(1, -1, 0), (0, 1, -1)]
     # every interval up to the longest element is co-simple
     for n in (2, 3, 4):
         for u in all_perms(n):
@@ -88,9 +90,29 @@ def test_cosimple_counterexample_exists_s4():
     ]
     assert flagged  # rank-deficient coatom root sets occur
     for u, v in flagged[:3]:
-        I = interval(u, v)
-        rows = coatom_root_matrix(I)
+        rows = coatom_roots_brute(u, v)
         assert integer_rank(rows) < len(rows)
+
+
+def test_cosimple_matches_rank_oracle_s4_s5():
+    # the forest criterion against the exact rank of the coatom roots
+    flagged = 0
+    for n in (4, 5):
+        for u, v in comparable_pairs(n):
+            cosimple = is_cosimple(interval(u, v))
+            assert cosimple == cosimple_brute(u, v), (u, v)
+            flagged += not cosimple
+    assert flagged
+
+
+def test_cosimple_matches_rank_oracle_drawn_s6():
+    pairs = random.Random(6).sample(comparable_pairs(6), 1500)
+    verdicts = Counter()
+    for u, v in pairs:
+        cosimple = is_cosimple(interval(u, v))
+        assert cosimple == cosimple_brute(u, v), (u, v)
+        verdicts[cosimple] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_cosimple_invariant_under_longest_conjugation_s4():
@@ -302,6 +324,10 @@ def test_lemma_coatom_reading_falsified_instance():
     assert rec["status"] == "FINDING"
     rec = verify_lemma_incpaths(I, z, reading="crossing")
     assert rec["status"] == "PASS"
+
+
+def _table_key(table):
+    return tuple((p, tuple(sorted(row.items()))) for p, row in sorted(table.items()))
 
 
 def _restriction(I, order):

@@ -176,6 +176,63 @@ def test_verify_report_bodies_deterministic(capsys, tmp_path):
     assert body1 == body2
 
 
+def test_ds_and_dh_text_output(capsys):
+    for cmd in ("ds", "dh"):
+        argv = [cmd, "--u", "123", "--v", "321", "--z", "231", "--z2", "312"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "[(1, '321', 1), (3, '321', 1)]\n")
+        code, out, _ = run(capsys, *argv, "--both")
+        entries = "[(1, '321', 1), (3, '321', 1)]\n"
+        assert (code, out) == (0, entries + entries + "SYMMETRIC\n")
+
+
+def test_shortcuts_json(capsys):
+    code, out, _ = run(capsys, "shortcuts", "--u", "123", "--v", "321", "--z", "231", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"u": "123", "v": "321", "z": "231", "shortcuts": ["231", "321"]}
+
+
+def test_inspect_rank_mismatch_exits_3(capsys):
+    code, out, err = run(capsys, "inspect", "--u", "12", "--v", "321")
+    assert (code, out) == (3, "") and "same rank" in err
+
+
+def test_rtilde_order_word_that_is_not_a_word_exits_3(capsys):
+    code, out, err = run(
+        capsys, "rtilde", "--u", "123", "--v", "321", "--method", "dyer",
+        "--order-word", "1,x", "--no-cache",
+    )
+    assert (code, out) == (3, "") and "bad order word" in err
+
+
+def test_verify_rank_and_sample_size_below_one_exit_5(capsys):
+    for argv, message in (
+        (["--n", "0", "--checks", "dyer"], "rank must be positive"),
+        (["--n", "3", "--checks", "dyer", "--mode", "sample", "--seed", "1", "--sample-size", "0"],
+         "sample size must be positive"),
+    ):
+        code, out, err = run(capsys, "verify", *argv, "--no-cache")
+        assert (code, out) == (5, "") and message in err, argv
+
+
+def test_validate_config_refuses_no_checks_and_an_unknown_mode():
+    with pytest.raises(ConfigError, match="no checks selected"):
+        validate_config(SweepConfig(n=3, checks=()))
+    with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
+        validate_config(SweepConfig(n=3, checks=("dyer",), mode="bogus"))
+
+
+def test_verify_text_report_shows_both_decompositions(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--n", "3", "--checks", "bologna", "--mode", "exhaustive",
+        "--format", "text", "--no-cache",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("PASS bologna [123,132] z=123 z2=132 {")
+    assert all(" z=" in line and " z2=" in line for line in lines[1:-1])
+
+
 def test_verify_sample_requires_seed(capsys):
     code, _, err = run(capsys, "verify", "--n", "5", "--mode", "sample", "--no-cache")
     assert code == 5
@@ -474,6 +531,44 @@ def test_bad_cache_record_exits_with_io_error(tmp_path, capsys, bad_record):
         assert out == "" and err.startswith("error:") and "bad cache record" in err
     finally:
         set_cache(previous).close()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--n", "3", "--checks", "nonsense"], 5),
+        (["verify", "--n", "0", "--checks", "dyer"], 5),
+        (["rtilde", "--u", "123", "--v", "321", "--order-word", "121"], 5),
+        (["rtilde", "--u", "321", "--v", "123"], 2),
+        (["rtilde", "--u", "12", "--v", "321"], 3),
+        (["rtilde", "--u", "123", "--v", "321", "--method", "dyer", "--order-word", "1,x"], 3),
+        (["rtilde", "--u", "123", "--v", "321", "--method", "both", "--order-word", "1,1,1"], 3),
+    ],
+    ids=["unknown-check", "rank-0", "order-word-unread", "not-below", "rank-mismatch",
+         "order-word-not-a-word", "order-word-not-reduced"],
+)
+def test_refused_command_creates_no_cache_file(tmp_path, capsys, argv, code):
+    # the memo, and with it the cache file, is installed only once the
+    # options are accepted; the memo installed before stays installed
+    path = tmp_path / "poly.jsonl"
+    previous = get_cache()
+    try:
+        assert main([*argv, "--cache", str(path)]) == code
+        assert get_cache() is previous
+    finally:
+        set_cache(previous)
+    assert not path.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+def test_rtilde_both_disagreement_exits_1(capsys, monkeypatch):
+    from bruhatcubes import cli
+
+    monkeypatch.setattr(cli, "rtilde_dyer", lambda I, order: (0, 1))
+    code, out, _ = run(capsys, "rtilde", "--u", "123", "--v", "321", "--method", "both", "--no-cache")
+    assert code == 1
+    assert out == "q^3+q | q | DISAGREE\n"
 
 
 def test_failing_checks_write_standard_fail_records(monkeypatch):

@@ -178,8 +178,20 @@ def test_bologna_chain_values():
 
 
 def test_bologna_skips_non_amazing():
-    rec = verify_bologna(I3, (1, 3, 2), Z)
+    for z, zp in (((1, 3, 2), Z), (Z, (1, 3, 2))):
+        rec = verify_bologna(I3, z, zp)
+        assert (rec["status"], rec["reason"]) == ("SKIP", "pair not amazing")
+
+
+def test_bologna_skips_when_a_hypothesis_fails(monkeypatch):
+    # no amazing pair up to S5 fails a hypothesis, so DS symmetry is broken
+    import bruhatcubes.doubles as doubles
+
+    monkeypatch.setattr(doubles, "ds_symmetric", lambda I, z, zp: False)
+    rec = verify_bologna(I3, Z, ZP)
     assert rec["status"] == "SKIP"
+    assert rec["hypotheses"] == {"h1": True, "h2": True, "h3": False}
+    assert "chain" not in rec
 
 
 def test_product_boolean_square():

@@ -24,10 +24,9 @@ from bruhatcubes.permutations import (
     reflections,
     right_descents,
     right_multiply_reflection,
-    root,
 )
 
-from oracles import interval_elements_brute, subword_leq, tableau_leq
+from oracles import interval_elements_brute, root, subword_leq, tableau_leq
 
 
 def test_compose_examples():
