@@ -37,23 +37,12 @@ from .doubles import (
 )
 from .hcd import HypercubeEmbedding, _antichains, _masks, _member_key, shortcut_level, spans_hypercube
 from .interval import Interval, bits, per_bottom
-from .permutations import Perm, Reflection, format_perm
-from .rpoly import _label_pass, constrained_orders
+from .permutations import Perm, format_perm
+from .rpoly import _restricted_counts, constrained_orders
 
 
 # ---------------------------------------------------------------------------
 # co-simple detection
-
-
-def _coatom_labels(I: Interval, x: int) -> frozenset[Reflection]:
-    """The labels of the coatom arrows c -> v of [x, v], for the id x of a
-    member: c in [x, v] with an arrow into v, one length below v."""
-    index, v = I.index, I.vid
-    arrows, length = index.arrows, index.length
-    below = length[v] - 1
-    return frozenset(
-        arrows[c][v] for c in bits(index.in_mask[v] & I.mask & index.up[x]) if length[c] == below
-    )
 
 
 def is_cosimple(I: Interval) -> bool:
@@ -63,7 +52,7 @@ def is_cosimple(I: Interval) -> bool:
     The signed roots of a cycle sum to zero, and a leaf's root is the only
     one with a nonzero entry at the leaf.  Distinct coatoms have distinct
     labels, so no edge repeats."""
-    labels = _coatom_labels(I, I.uid)
+    labels = I.coatom_reflections(I.u, I.v)
     ends = {i for t in labels for i in t}
     components = partition_by_relation(labels, lambda s, t: s[0] in t or s[1] in t)
     return len(labels) == len(ends) - len(components)
@@ -168,9 +157,8 @@ def verify_hw_projection(I: Interval, z: Perm) -> dict:
 def coatom_precedence_constraints(I: Interval, z: Perm) -> frozenset:
     """Every coatom label of [u, v] outside [z, v] precedes every coatom
     label of [z, v]."""
-    I.require(z)
-    c_uv = _coatom_labels(I, I.uid)
-    c_zv = _coatom_labels(I, I.index.id[z])
+    c_uv = I.coatom_reflections(I.u, I.v)
+    c_zv = I.coatom_reflections(z, I.v)
     return frozenset((t, tp) for t in c_uv - c_zv for tp in c_zv)
 
 
@@ -239,16 +227,10 @@ def verify_lemma_incpaths(
             reason="no constrained order exists",
         )
     # the label pass reads only the labels of arrows inside I, so orders
-    # with the same restriction to them give the same table: one per group.
-    # Tables are compared as the packed counts of the ids of [z, v], as
-    # ``increasing_path_counts`` computes them: limbs never carry, and an
-    # id without counts has an empty row
+    # with the same restriction to them give the same table: one per group
     labels = {t for _, _, t in I.arrow_ids()}
     groups = {tuple(t for t in o.sequence if t in labels): o for o in orders}
-    zv = I.upper(z)
-    ids = bits(zv)
-    passes = (_label_pass(I.n, I.uid, o, I.mask, zv) for o in groups.values())
-    keys = {tuple(counts.get(p, 0) for p in ids) for counts in passes}
+    keys = {_restricted_counts(I, z, o) for o in groups.values()}
     if len(keys) == 1:
         status = "PASS"
     else:

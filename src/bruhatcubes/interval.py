@@ -424,9 +424,14 @@ class Interval:
         self.require(x, y)
         if not self.leq(x, y):
             raise OrderError(f"{format_perm(x)} is not below {format_perm(y)}")
-        up_x, ids, arrows = self.upper(x), self.index.id, self.index.arrows
-        top = ids[y]
-        return frozenset(arrows[ids[c]][top] for c in self.covers_of(y) if up_x >> ids[c] & 1)
+        index = self.index
+        top, length = index.id[y], index.length
+        below = length[top] - 1
+        return frozenset(
+            index.arrows[c][top]
+            for c in bits(index.in_mask[top] & self.upper(x))
+            if length[c] == below
+        )
 
     # ---- diamond completeness ------------------------------------------
 

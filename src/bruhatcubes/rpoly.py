@@ -18,7 +18,8 @@ carry.  Every arrow raises the order, so an increasing path from u to v
 stays in [u, v]: ``rtilde_dyer`` reads v off a pass over all of up[u],
 a per-bottom memo of the rank index on the order, dropped once the sweep
 passes u (the first interval of a bottom runs it over [u, v] alone), and
-``increasing_path_counts`` runs the pass over [u, v] with [z, v] absorbing.
+``_restricted_counts`` runs the pass over [u, v] with [z, v] absorbing for
+``increasing_path_counts`` and the increasing-path lemma.
 
 A reflection order on rank n lists all n(n-1)/2 transpositions so that
 t_{ik} sits strictly between t_{ij} and t_{jk} whenever i < j < k.  Orders
@@ -311,23 +312,30 @@ def rtilde_dyer(I: Interval, order: ReflectionOrder) -> QPoly:
     return _coefficients(entry[1].get(v, 0), len(order) + 1)
 
 
-def increasing_path_counts(
-    I: Interval, z: Perm, order: ReflectionOrder
-) -> dict[Perm, dict[int, int]]:
-    """Table a[p][k]: order-increasing length-k paths from the bottom to p
-    whose support meets [z, v] only at p, for every p in [z, v].
+def _restricted_counts(I: Interval, z: Perm, order: ReflectionOrder) -> tuple[int, ...]:
+    """Packed counts of the order-increasing paths from the bottom whose
+    support meets [z, v] only at their end, one per id of [z, v], lowest
+    first.
 
     [z, v] is upward closed, so such a path stays outside [z, v] until its
     final step: it is the label pass over [u, v] with [z, v] absorbing.  The
     empty path counts with length 0 when the bottom itself lies in [z, v].
     """
-    I.require(z)
     zv = I.upper(z)
     counts = _label_pass(I.n, I.uid, order, I.mask, zv)
+    return tuple(counts.get(p, 0) for p in bits(zv))
+
+
+def increasing_path_counts(
+    I: Interval, z: Perm, order: ReflectionOrder
+) -> dict[Perm, dict[int, int]]:
+    """Table a[p][k]: order-increasing length-k paths from the bottom to p
+    whose support meets [z, v] only at p, for every p in [z, v]."""
+    I.require(z)
     width, perms = len(order) + 1, I.index.perms
     return {
-        perms[p]: {k: c for k, c in enumerate(_coefficients(counts.get(p, 0), width)) if c}
-        for p in bits(zv)
+        perms[p]: {k: c for k, c in enumerate(_coefficients(packed, width)) if c}
+        for p, packed in zip(bits(I.upper(z)), _restricted_counts(I, z, order))
     }
 
 

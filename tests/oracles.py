@@ -119,18 +119,23 @@ def integer_rank(rows: list[tuple[int, ...]]) -> int:
     return rank
 
 
-def coatom_roots_brute(u: Perm, v: Perm) -> list[tuple[int, ...]]:
-    """The root of each coatom label of [u, v], in label order: the
-    transpositions t of positions with v*t one length below v and, by the
-    tableau criterion, at or above u."""
+def coatom_labels_brute(u: Perm, v: Perm) -> list[tuple[int, int]]:
+    """The coatom labels of [u, v], in label order: the transpositions t of
+    positions with v*t one length below v and, by the tableau criterion, at
+    or above u."""
     n, below = len(v), length(v) - 1
-    rows = []
+    labels = []
     for t in itertools.combinations(range(1, n + 1), 2):
         c = list(v)
         c[t[0] - 1], c[t[1] - 1] = c[t[1] - 1], c[t[0] - 1]
         if length(tuple(c)) == below and tableau_leq(u, tuple(c)):
-            rows.append(root(t, n))
-    return rows
+            labels.append(t)
+    return labels
+
+
+def coatom_roots_brute(u: Perm, v: Perm) -> list[tuple[int, ...]]:
+    """The root of each coatom label of [u, v], in label order."""
+    return [root(t, len(v)) for t in coatom_labels_brute(u, v)]
 
 
 def cosimple_brute(u: Perm, v: Perm) -> bool:

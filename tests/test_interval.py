@@ -26,6 +26,7 @@ from bruhatcubes.permutations import (
 
 from oracles import (
     bruhat_edges_brute,
+    coatom_labels_brute,
     geodesics_brute,
     interval_elements_brute,
     is_diamond_complete_brute,
@@ -156,6 +157,19 @@ def test_coatom_reflections():
     assert I.coatom_reflections(E3, W3) == {(1, 2), (2, 3)}
     assert I.coatom_reflections(W3, W3) == frozenset()
     assert I.coatom_reflections((2, 3, 1), W3) == {(1, 2)}
+
+
+def test_coatom_reflections_match_brute_s4():
+    """The labels read by id off the rank index, for every comparable pair
+    x <= y of a few S4 intervals, against the tableau criterion."""
+    e, w0 = identity(4), longest_element(4)
+    for u, v in [(e, w0), ((2, 1, 3, 4), (4, 3, 1, 2)), ((1, 3, 2, 4), (3, 4, 1, 2))]:
+        I = interval(u, v)
+        for x, y in itertools.product(I.elements, repeat=2):
+            if I.leq(x, y):
+                assert I.coatom_reflections(x, y) == set(coatom_labels_brute(x, y)), (x, y)
+    with pytest.raises(OrderError):
+        interval(e, w0).coatom_reflections(w0, e)
 
 
 def test_dual_interval():
