@@ -19,10 +19,14 @@ both windows, and coefficients normalized (the list does not end in 0).
 Only the header is read as JSON; a record that is valid JSON but spelled
 otherwise is a bad record.
 
-New entries are appended as they are computed, so interrupted sweeps keep
-their work.  An unterminated last line that is not such a record or fails
-its check, as an interrupted append leaves it, is cut off when the file is
-opened; a bad line anywhere else is an error.
+New records are queued and appended in batches of ``BATCH`` records, each
+batch in one write, and the last partial batch at ``close`` (or
+``flush``).  An interrupted sweep keeps every batch written; the command
+line closes its memo also when a command raises or is interrupted, so only
+a hard kill loses work, at most one batch, which the next run recomputes.
+An unterminated last line that is not such a record or fails its check, as
+a write cut off mid-batch leaves it, is cut off when the file is opened; a
+bad line anywhere else is an error.
 
 In memory the memo numbers the windows of each rank in the order it meets
 them (:class:`Rank`).  Each id keeps its window, its rank-matrix code (which
@@ -58,6 +62,8 @@ from .polynomials import QPoly
 
 CACHE_VERSION = 2
 ENV_VAR = "BRUHAT_CACHE"
+# records queued before the memo writes them to its file in one call
+BATCH = 512
 
 _NUM = rb"(?:[1-9][0-9]*|0)"
 # one record exactly as ``store`` spells it; group 1 is the text its crc covers,
@@ -83,6 +89,8 @@ class PolyCache:
         self._spelled = _Made(lambda poly: ", ".join(map(str, poly)))
         self._path = path
         self._fh = None
+        # records stored since the last write, in order
+        self._queue: list[bytes] = []
         if path is not None:
             self._open(path)
 
@@ -162,10 +170,10 @@ class PolyCache:
         return None if ui is None or vi is None else rank.rows[vi].get(ui)
 
     def put(self, u: Perm, v: Perm, poly: QPoly) -> QPoly:
-        """Store ``poly`` for (u, v) and append it to the file; returns the
-        memo's shared tuple of the pair, the one already stored (and nothing
-        appended) when the pair is known.  Raises ValueError, storing
-        nothing, unless u and v are windows of one rank."""
+        """Store ``poly`` for (u, v) and queue its record for the file (see
+        ``store``); returns the memo's shared tuple of the pair, the one
+        already stored (and nothing queued) when the pair is known.  Raises
+        ValueError, storing nothing, unless u and v are windows of one rank."""
         if len(u) != len(v):
             raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
         rank = self.ranks[len(v)]
@@ -177,7 +185,8 @@ class PolyCache:
 
     def store(self, rank: Rank, u: int, v: int, poly: QPoly) -> QPoly:
         """Store the shared ``poly`` for the ids (u, v), a pair the memo does
-        not hold yet, and append it to the file; returns ``poly``."""
+        not hold yet, and queue its record for the file, which is written
+        when ``BATCH`` records are queued; returns ``poly``."""
         rank.rows[v][u] = poly
         if self._fh is not None:
             spellings = rank.spellings
@@ -185,8 +194,20 @@ class PolyCache:
                 f'{{"n": {rank.n}, "u": "{spellings[u]}", "v": "{spellings[v]}", '
                 f'"coeffs": [{self._spelled[poly]}]'
             ).encode()
-            self._write(body + b', "crc": %d}\n' % zlib.crc32(body))
+            queue = self._queue
+            queue.append(body + b', "crc": %d}\n' % zlib.crc32(body))
+            if len(queue) == BATCH:
+                self.flush()
         return poly
+
+    def flush(self) -> None:
+        """Write the queued records to the file in one write.  The queue is
+        emptied first: records of a batch that fails to write stay in the
+        memo but not in the file, and the next run recomputes them."""
+        if self._queue:
+            data = b"".join(self._queue)
+            self._queue.clear()
+            self._write(data)
 
     def _write(self, data: bytes) -> None:
         """Hand ``data`` to the OS in one unbuffered write; a short write is
@@ -197,9 +218,15 @@ class PolyCache:
             raise OSError(f"{self._path}: wrote {written} of {len(data)} bytes")
 
     def close(self) -> None:
+        """Write the last partial batch and close the file; the memo stays
+        readable, and stores no more records in the file.  The file is
+        closed also when that write fails."""
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            try:
+                self.flush()
+            finally:
+                self._fh.close()
+                self._fh = None
 
 
 class Rank:

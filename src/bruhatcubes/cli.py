@@ -3,9 +3,10 @@
 Commands: ``rtilde``, ``inspect``, ``shortcuts``, ``ds``, ``dh``, ``verify``.
 Each takes ``--format`` and ``--output``; only ``rtilde`` and ``verify``, the
 two that evaluate R-tilde, take ``--cache``/``--no-cache`` and read
-``BRUHAT_CACHE``.  ``--output`` is replaced only when the command returns.
-Exit codes: 0 success, 1 a proved statement failed during verify, 2 Bruhat
-order error, 3 parse error, 4 I/O error, 5 bad configuration.
+``BRUHAT_CACHE``, and ``rtilde`` only when it runs the recurrence (not
+under ``--method dyer``).  ``--output`` is replaced only when the command
+returns.  Exit codes: 0 success, 1 a proved statement failed during verify,
+2 Bruhat order error, 3 parse error, 4 I/O error, 5 bad configuration.
 """
 
 from __future__ import annotations
@@ -144,6 +145,8 @@ def _parse_pair(args):
 def cmd_rtilde(args, fh) -> int:
     if args.order_word is not None and args.method == "recurrence":
         raise ConfigError("--order-word is read only by --method dyer or both")
+    if (args.cache is not None or args.no_cache) and args.method == "dyer":
+        raise ConfigError("--cache and --no-cache are read only by --method recurrence or both")
     u, v = _parse_pair(args)
     if args.method in ("dyer", "both"):
         if args.order_word:
@@ -157,8 +160,10 @@ def cmd_rtilde(args, fh) -> int:
         else:
             order = canonical_orders(len(u), 1)[0]
         by_paths = rtilde_dyer(interval(u, v), order)
-    with _memo(args):
-        rec = None if args.method == "dyer" else rtilde(u, v)
+    rec = None
+    if args.method != "dyer":
+        with _memo(args):
+            rec = rtilde(u, v)
     if args.method == "recurrence":
         result = poly_str(rec)
     elif args.method == "dyer":

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from bruhatcubes.cache import CACHE_VERSION, PolyCache, default_cache_path
+from bruhatcubes.cache import BATCH, CACHE_VERSION, PolyCache, default_cache_path
 from bruhatcubes.errors import CacheError
 from bruhatcubes.interval import comparable_pairs
 from bruhatcubes.permutations import all_perms, identity, longest_element
@@ -211,7 +211,9 @@ def test_put_of_a_stored_pair_appends_nothing(tmp_path):
     memo = PolyCache(str(path))
     stored = memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
     assert stored == (0, 1, 0, 1) and stored is memo.get((1, 2, 3), (3, 2, 1))
+    memo.flush()
     before = path.read_bytes()
+    assert before.count(b"\n") == 2  # the header and the record
     assert memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1)) is stored
     assert memo.put(tuple([1, 2, 3]), tuple([3, 2, 1]), tuple([0, 1, 0, 1])) is stored
     memo.close()
@@ -300,6 +302,7 @@ def _checked(record: dict, **dumps) -> str:
 
 RECORD_231 = _checked({"n": 3, "u": "123", "v": "231", "coeffs": [0, 0, 1]})
 RECORD_321 = _checked({"n": 3, "u": "123", "v": "321", "coeffs": [0, 1, 0, 1]})
+RECORD_132 = _checked({"n": 3, "u": "123", "v": "132", "coeffs": [0, 1]})
 
 
 def test_torn_last_line_is_dropped(tmp_path):
@@ -465,10 +468,47 @@ def test_short_write_raises_and_leaves_no_partial_line(tmp_path):
     path = tmp_path / "poly.jsonl"
     memo = PolyCache(str(path))
     memo.put((1, 2, 3), (2, 3, 1), (0, 0, 1))
+    memo.flush()
     before = path.read_bytes()
     memo._fh.close()
     memo._fh = ShortFile(str(path), "ab")
-    with pytest.raises(OSError, match="wrote 10 of"):
-        memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    # a batch of two records surfaces its short write at flush, and the
+    # whole batch is taken back
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.put((1, 2, 3), (1, 3, 2), (0, 1))
+    assert path.read_bytes() == before
+    with pytest.raises(OSError, match=f"wrote 10 of {len(RECORD_321) + 1 + len(RECORD_132) + 1} bytes"):
+        memo.flush()
+    assert path.read_bytes() == before
     memo.close()
     assert path.read_bytes() == before
+    # the records stay in the memo, and a reload finds the file whole
+    assert memo.get((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
+    reloaded = PolyCache(str(path))
+    reloaded.close()
+    assert len(reloaded) == 1
+
+
+def test_records_reach_the_file_in_batches(tmp_path, monkeypatch):
+    # all 3,781 comparable S5 pairs: the header write, 7 writes of BATCH
+    # records as they fill and one of the last 197 at close, with the
+    # pinned S5 bytes
+    writes = []
+    write = PolyCache._write
+
+    def counted(memo, data):
+        writes.append(data.count(b"\n"))
+        write(memo, data)
+
+    monkeypatch.setattr(PolyCache, "_write", counted)
+    path = tmp_path / "poly.jsonl"
+    memo = _cache_every_pair(path, 5)
+    assert BATCH == 512 and writes == [1] + [BATCH] * 7 + [3781 - 7 * BATCH]
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "ca599faa7a05c80e8ac5210d6b96e878eb5e8c0c9dc9d5463425dad4f91533b5"
+    )
+    # a memo whose file is closed writes nothing more
+    memo.put((1, 2, 3), (3, 2, 1), (0, 1, 0, 1))
+    memo.flush()
+    assert len(writes) == 9 and path.read_bytes() == data

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -9,14 +10,14 @@ from pathlib import Path
 import pytest
 
 from bruhatcubes.appendix import dh_multiset
-from bruhatcubes.cache import PolyCache
+from bruhatcubes.cache import BATCH, PolyCache
 from bruhatcubes.cli import main
 from bruhatcubes.doubles import ds_multiset, multiset_entries
 from bruhatcubes.errors import ConfigError
 from bruhatcubes.hcd import shortcuts
 from bruhatcubes.interval import interval
 from bruhatcubes.permutations import format_perm, parse_perm
-from bruhatcubes.rpoly import canonical_orders, get_cache, set_cache
+from bruhatcubes.rpoly import canonical_orders, get_cache, rtilde, set_cache
 from bruhatcubes.sweep import ALL_CHECKS, SweepConfig, validate_config
 
 
@@ -59,7 +60,7 @@ def test_rtilde_bad_window_exits_3(capsys):
 def test_rtilde_bad_order_word_exits_3(capsys):
     code, _, _ = run(
         capsys, "rtilde", "--u", "123", "--v", "321", "--method", "dyer",
-        "--order-word", "1,1,1", "--no-cache",
+        "--order-word", "1,1,1",
     )
     assert code == 3
 
@@ -67,7 +68,7 @@ def test_rtilde_bad_order_word_exits_3(capsys):
 def test_rtilde_explicit_order_word(capsys):
     code, out, _ = run(
         capsys, "rtilde", "--u", "123", "--v", "321", "--method", "dyer",
-        "--order-word", "212", "--no-cache",
+        "--order-word", "212",
     )
     assert code == 0 and out.strip() == "q^3+q"
 
@@ -80,6 +81,25 @@ def test_rtilde_order_word_needs_dyer_or_both_exits_5(capsys):
             "--order-word", "1,1,1", "--no-cache",
         )
         assert (code, out) == (5, "") and "--order-word" in err
+
+
+def test_rtilde_dyer_opens_no_memo(tmp_path, capsys, monkeypatch):
+    # the increasing-path route reads no memo: --cache and --no-cache are
+    # refused, as --order-word is under the recurrence, and BRUHAT_CACHE is
+    # not opened
+    path = tmp_path / "poly.jsonl"
+    argv = ["rtilde", "--u", "123", "--v", "321", "--method", "dyer"]
+    previous = get_cache()
+    try:
+        for memo in (["--cache", str(path)], ["--no-cache"]):
+            code, out, err = run(capsys, *argv, *memo)
+            assert (code, out) == (5, "") and "--cache and --no-cache" in err
+        monkeypatch.setenv("BRUHAT_CACHE", str(path))
+        assert run(capsys, *argv) == (0, "q^3+q\n", "")
+        assert get_cache() is previous
+    finally:
+        set_cache(previous)
+    assert not path.exists()
 
 
 def test_rtilde_json_coeffs(capsys):
@@ -200,7 +220,7 @@ def test_inspect_rank_mismatch_exits_3(capsys):
 def test_rtilde_order_word_that_is_not_a_word_exits_3(capsys):
     code, out, err = run(
         capsys, "rtilde", "--u", "123", "--v", "321", "--method", "dyer",
-        "--order-word", "1,x", "--no-cache",
+        "--order-word", "1,x",
     )
     assert (code, out) == (3, "") and "bad order word" in err
 
@@ -541,7 +561,7 @@ def test_bad_cache_record_exits_with_io_error(tmp_path, capsys, bad_record):
         (["rtilde", "--u", "123", "--v", "321", "--order-word", "121"], 5),
         (["rtilde", "--u", "321", "--v", "123"], 2),
         (["rtilde", "--u", "12", "--v", "321"], 3),
-        (["rtilde", "--u", "123", "--v", "321", "--method", "dyer", "--order-word", "1,x"], 3),
+        (["rtilde", "--u", "123", "--v", "321", "--method", "both", "--order-word", "1,x"], 3),
         (["rtilde", "--u", "123", "--v", "321", "--method", "both", "--order-word", "1,1,1"], 3),
     ],
     ids=["unknown-check", "rank-0", "order-word-unread", "not-below", "rank-mismatch",
@@ -702,6 +722,50 @@ def test_edited_env_cache_is_not_read_with_no_cache(tmp_path):
     argv = ("-m", "bruhatcubes.cli", "rtilde", "--u", "123", "--v", "321", "--no-cache")
     proc = _python(*argv, cache_env=path)
     assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "q^3+q", "")
+
+
+_S5_DYER = ["verify", "--n", "5", "--checks", "dyer", "--mode", "exhaustive", "--format", "json"]
+
+
+def test_killed_verify_keeps_its_batches_and_resumes(tmp_path, capsys):
+    # a child kills itself right after its third batch write, at a fixed
+    # point of the sweep: the file holds those batches, whole, and a second
+    # run resumes on it to the body of a run without a cache file
+    path = str(tmp_path / "poly.jsonl")
+    code = (
+        "import os, signal, sys\n"
+        "from bruhatcubes import cache, cli\n"
+        "write, batches = cache.PolyCache._write, []\n"
+        "def write_then_die(memo, data):\n"
+        "    write(memo, data)\n"
+        "    if data.count(b'\\n') == cache.BATCH:\n"
+        "        batches.append(data)\n"
+        "        if len(batches) == 3:\n"
+        "            os.kill(os.getpid(), signal.SIGKILL)\n"
+        "cache.PolyCache._write = write_then_die\n"
+        f"cli.main({_S5_DYER!r} + ['--cache', sys.argv[1]])\n"
+    )
+    proc = _python("-c", code, path, cache_env="")
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    killed = PolyCache(path)
+    killed.close()
+    assert len(killed) == 3 * BATCH
+    previous = set_cache(PolyCache(None))
+    try:
+        for rank in killed.ranks.values():
+            for v, row in enumerate(rank.rows):
+                for u, poly in row.items():
+                    assert poly == rtilde(rank.windows[u], rank.windows[v])
+        assert main([*_S5_DYER, "--no-cache"]) == 0
+    finally:
+        set_cache(previous)
+    memory = capsys.readouterr().out.splitlines()[1:]
+    proc = _python("-m", "bruhatcubes.cli", *_S5_DYER, "--cache", path, cache_env="")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1:] == memory and len(memory) == 3781
+    resumed = PolyCache(path)
+    resumed.close()
+    assert len(resumed) == 3781
 
 
 def test_env_cache_file_is_loaded_once(tmp_path):
