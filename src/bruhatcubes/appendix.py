@@ -202,7 +202,7 @@ def verify_lemma_incpaths(
     reported as a FINDING, not an error.  Explicit ``constraints`` override
     both and are treated like the coatom reading.
     """
-    I.require(z)
+    I.member(z)  # a z outside I raises, before any SKIP can return
     if not is_cosimple(I):
         return _record("lemma-paths", I, "SKIP", z=format_perm(z), reason="not co-simple")
     if not I.is_diamond_complete(z):

@@ -45,7 +45,6 @@ from .polynomials import QPoly, ZERO, monomial, padd, pmul, poly_str, pshift
 from .hcd import (
     _amazing,
     _join_id,
-    _member_key,
     _row_holds,
     _rtilde_z,
     enumerate_hcds,
@@ -98,9 +97,7 @@ def _double_entries(n: int, u: int, level, v: int, z: int, zp: int) -> tuple:
 
 def double_multiset(level, I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
     """The multiset of (degree, b) over the double expansion of (z, z')."""
-    I.require(z, zp)
-    ids = I.index.id
-    return Counter(dict(_double_entries(I.n, I.uid, level, I.vid, ids[z], ids[zp])))
+    return Counter(dict(_double_entries(I.n, I.uid, level, I.vid, I.member(z), I.member(zp))))
 
 
 def ds_multiset(I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
@@ -111,9 +108,7 @@ def ds_multiset(I: Interval, z: Perm, zp: Perm) -> DegreeMultiset:
 def double_symmetric(level, I: Interval, z: Perm, zp: Perm) -> bool:
     """True iff the double expansions of (z, z') and (z', z) over ``level``
     give the same multiset: their memoized sorted entries are equal."""
-    I.require(z, zp)
-    n, u, v, ids = I.n, I.uid, I.vid, I.index.id
-    z, zp = ids[z], ids[zp]
+    n, u, v, z, zp = I.n, I.uid, I.vid, I.member(z), I.member(zp)
     return _double_entries(n, u, level, v, z, zp) == _double_entries(n, u, level, v, zp, z)
 
 
@@ -241,9 +236,7 @@ def bologna_chain(I: Interval, z: Perm, zp: Perm) -> list[QPoly]:
     with the z-shortcuts, through both multisets, and back through z'.
     Each value but R-tilde(u, v) is read from a per-bottom memo, so the
     chains of (z, z') and (z', z) compute their six shared values once."""
-    I.require(z, zp)
-    n, u, v, ids = I.n, I.uid, I.vid, I.index.id
-    z, zp = ids[z], ids[zp]
+    n, u, v, z, zp = I.n, I.uid, I.vid, I.member(z), I.member(zp)
     walk, multiset = _chain_sums(n, u, v, z, zp)
     walk_rev, multiset_rev = _chain_sums(n, u, v, zp, z)
     return [
@@ -265,15 +258,15 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
     When all hold, z' must be an R-element and every step of the expansion
     chain must evaluate equal; any failure is an implementation bug.
     """
-    I.require(z, zp)
-    if not (is_amazing(I, z) and is_amazing(I, zp)):
+    # both are tested, so a z' outside I raises even when z is not amazing
+    if not all([is_amazing(I, z), is_amazing(I, zp)]):
         return _record(
             "bologna", I, "SKIP", z=format_perm(z), z2=format_perm(zp), reason="pair not amazing"
         )
     hyp1 = is_amazing_r_element(I, z)
     # the R-element join row of (v, z') over [u, v] without u; z' is
     # amazing, so every join exists
-    hyp2 = _row_holds(I.n, I.vid, I.index.id[zp], I.mask & ~(1 << I.uid), r_element=True)
+    hyp2 = _row_holds(I.n, I.vid, I.member(zp), I.mask & ~(1 << I.uid), r_element=True)
     hyp3 = ds_symmetric(I, z, zp)
     hyps = {"h1": hyp1, "h2": hyp2, "h3": hyp3}
     if not (hyp1 and hyp2 and hyp3):
@@ -329,10 +322,7 @@ def verify_product(
         zs2 = [I2.index.id[z] for z in standard_hcds(I2)]
         keys = [((a1, a2), (b1, b2)) for a1 in zs1 for a2 in zs2 for b1 in zs1 for b2 in zs2]
     else:
-        keys = [
-            tuple((_member_key(I1, a)[3], _member_key(I2, b)[3]) for a, b in pair)
-            for pair in pairs
-        ]
+        keys = [tuple((I1.member(a), I2.member(b)) for a, b in pair) for pair in pairs]
     factors = [
         [format_perm(I1.u), format_perm(I1.v)],
         [format_perm(I2.u), format_perm(I2.v)],

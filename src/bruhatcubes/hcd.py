@@ -8,7 +8,10 @@ The search for interior vertices runs over the whole symmetric group, not
 just an interval, on the ``in_mask`` rows of the rank index: the candidates
 for a cell are the AND of the rows of its already-assigned covers, minus the
 ids used (the embedding is injective), and uniqueness means the complete
-assignment is unique.
+assignment is unique.  The search runs on ids; ``_edge_family``, the one
+check of an arrow family of windows (top a window, each source -> top an
+arrow), gives them to ``spans_hypercube``, ``count_hypercube_assignments``
+and ``spans_cluster``.
 
 ``z`` is an upper hypercube decomposition of [u, v] when [z, v] is diamond
 complete and, for every p in [z, v], the arrows into p from outside [z, v]
@@ -57,17 +60,19 @@ z is amazing in [u, v] exactly when no bit of [u, v] is bad in the
 ``_upper_hcd`` row, whose bit u is ``_upper_hcd(n, u, v, z)`` itself, the
 join of z and u being z; ``_amazing_r_element`` adds the ``_r_element`` row.
 A known bad bit answers at once, and evaluation stops at the first bad bit.
-The cluster test that ``_upper_hcd`` makes at each p is memoized on (n, p,
-the mask of the sources); ``spans_cluster`` is its unmemoized form on
-windows.  ``is_upper_hcd``, ``is_amazing``, ``is_r_element`` and
-``is_amazing_r_element`` look up the id of z, raise ``OrderError`` when z is
-not in the interval, and call these.
+The cluster test that ``_upper_hcd`` makes at each p is ``_cluster``,
+memoized on (n, p, the mask of the sources); ``spans_cluster`` is its form
+on windows, which checks the family through ``_edge_family`` and calls
+``_cluster``.  ``is_upper_hcd``, ``is_amazing``, ``is_r_element`` and
+``is_amazing_r_element`` take the id of z from
+:meth:`~bruhatcubes.interval.Interval.member`, which raises ``OrderError``
+when z is not in the interval, and call these.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import AbstractSet, Iterator, NamedTuple
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from .errors import OrderError
 from .interval import Interval, RankIndex, bits, per_bottom, rank_index
@@ -111,7 +116,9 @@ class HypercubeEmbedding(NamedTuple):
         return f"Hypercube(rank={self.rank}, top={format_perm(self.top)}, image={{{cells}}})"
 
 
-def _assignments(top: Perm, sources: tuple[Perm, ...], cap: int | None) -> list[tuple[Perm, ...]]:
+def _assignments(
+    index: RankIndex, top: int, sources: tuple[int, ...], cap: int | None
+) -> list[tuple[int, ...]]:
     """Complete injective cell assignments, filled from large subsets down.
 
     Cells hold ids of the rank index.  The candidates for a cell are the AND
@@ -125,27 +132,26 @@ def _assignments(top: Perm, sources: tuple[Perm, ...], cap: int | None) -> list[
     of S4 and S5 (219 and 9,045).  The mask is kept: injectivity is part of
     the definition.
     """
-    index = rank_index(len(top))
-    perms, inn = index.perms, index.in_mask
+    inn = index.in_mask
     k = len(sources)
     size = 1 << k
     full = size - 1
     table = [0] * size
-    table[full] = index.id[top]
-    used = 1 << table[full]
-    for b, s in enumerate(sources):
-        x = table[full ^ (1 << b)] = index.id[s]
+    table[full] = top
+    used = 1 << top
+    for b, x in enumerate(sources):
+        table[full ^ (1 << b)] = x
         used |= 1 << x
     pending = sorted(
         (m for m in range(size) if bin(m).count("1") <= k - 2),
         key=lambda m: bin(m).count("1"),
         reverse=True,
     )
-    found: list[tuple[Perm, ...]] = []
+    found: list[tuple[int, ...]] = []
 
     def fill(idx: int, used: int) -> bool:
         if idx == len(pending):
-            found.append(tuple(perms[x] for x in table))
+            found.append(tuple(table))
             return cap is not None and len(found) >= cap
         m = pending[idx]
         cands = ~used
@@ -162,36 +168,43 @@ def _assignments(top: Perm, sources: tuple[Perm, ...], cap: int | None) -> list[
     return found
 
 
-def _check_edge_family(top: Perm, sources: tuple[Perm, ...]) -> None:
+def _edge_family(top: Perm, sources: Iterable[Perm]) -> tuple[RankIndex, int, tuple[int, ...]]:
+    """The index of the rank of ``top``, the id of top and the ids of the
+    distinct sources in window order; OrderError unless top is a window and
+    each source -> top an arrow of the Bruhat graph."""
     index = rank_index(len(top))
     ids = index.id
-    arrows_in = index.in_mask[ids[top]]
-    for s in sources:
+    p = ids.get(top)
+    if p is None:
+        raise OrderError(f"not a permutation window: {top}")
+    arrows_in = index.in_mask[p]
+    xs = []
+    for s in sorted(set(sources)):
         x = ids.get(s)
         if x is None or not arrows_in >> x & 1:
             raise OrderError(
                 f"{format_perm(s)} -> {format_perm(top)} is not a Bruhat-graph arrow"
             )
+        xs.append(x)
+    return index, p, tuple(xs)
 
 
 @lru_cache(maxsize=1 << 17)
 def spans_hypercube(top: Perm, sources: tuple[Perm, ...]) -> HypercubeEmbedding | None:
     """The unique spanning embedding for the arrows sources -> top, or None
     when zero or at least two complete assignments exist."""
-    sources = tuple(sorted(set(sources)))
-    _check_edge_family(top, sources)
-    hits = _assignments(top, sources, cap=2)
+    index, p, xs = _edge_family(top, sources)
+    hits = _assignments(index, p, xs, cap=2)
     if len(hits) != 1:
         return None
-    return HypercubeEmbedding(top, sources, hits[0])
+    perms = index.perms
+    return HypercubeEmbedding(top, tuple(perms[x] for x in xs), tuple(perms[x] for x in hits[0]))
 
 
 def count_hypercube_assignments(top: Perm, sources: tuple[Perm, ...]) -> int:
     """Exact number of complete assignments (no early exit); the optimized
     search must agree with brute-force enumeration."""
-    sources = tuple(sorted(set(sources)))
-    _check_edge_family(top, sources)
-    return len(_assignments(top, sources, cap=None))
+    return len(_assignments(*_edge_family(top, sources), cap=None))
 
 
 def spans_cluster(top: Perm, sources: AbstractSet[Perm]) -> bool:
@@ -200,9 +213,8 @@ def spans_cluster(top: Perm, sources: AbstractSet[Perm]) -> bool:
     Empty and singleton families always span, so only antichains of two or
     more sources are searched.
     """
-    _check_edge_family(top, tuple(sorted(sources)))
-    ids = rank_index(len(top)).id
-    return _cluster(len(top), ids[top], sum(1 << ids[s] for s in set(sources)))
+    _, p, xs = _edge_family(top, sources)
+    return _cluster(len(top), p, sum(1 << x for x in xs))
 
 
 def _antichains(index: RankIndex, sources: int) -> Iterator[tuple[Perm, ...]]:
@@ -242,10 +254,10 @@ def _cluster(n: int, p: int, sources: int) -> bool:
 
 
 def inflow(I: Interval, z: Perm, p: Perm) -> frozenset[Perm]:
-    """Sources of the interval arrows into p from outside [z, v]."""
-    I.require(z, p)
+    """Sources of the interval arrows into p from outside [z, v];
+    OrderError unless z is a member and p is in [z, v]."""
     zv = I.upper(z)
-    k = I.index.id[p]
+    k = I.member(p)
     if not zv >> k & 1:
         raise OrderError(f"{format_perm(p)} is not in [{format_perm(z)}, {format_perm(I.v)}]")
     return frozenset(I.members(I.index.in_mask[k] & I.mask & ~zv))
@@ -254,10 +266,7 @@ def inflow(I: Interval, z: Perm, p: Perm) -> frozenset[Perm]:
 def _member_key(I: Interval, z: Perm) -> tuple[int, int, int, int]:
     """The memo key (n, u, v, z) of a member z, by id; OrderError when z is
     not in the interval."""
-    k = I.index.id.get(z)
-    if k is None or not I.mask >> k & 1:
-        raise OrderError(f"{format_perm(z)} is not in {I!r}")
-    return I.n, I.uid, I.vid, k
+    return I.n, I.uid, I.vid, I.member(z)
 
 
 def _masks(n: int, u: int, v: int, z: int) -> tuple[RankIndex, int, int]:
@@ -371,7 +380,6 @@ def standard_hcds(I: Interval) -> tuple[Perm, ...]:
 
 def join(I: Interval, z: Perm, x: Perm) -> Perm | None:
     """Bruhat-minimum of [z, v] with [x, v] inside the interval, or None."""
-    I.require(z, x)
     return _minimum(I, I.upper(z) & I.upper(x))
 
 
@@ -463,7 +471,6 @@ def shortcuts(I: Interval, z: Perm) -> frozenset[Perm]:
 def shortcuts_by_cover_distance(I: Interval, z: Perm) -> frozenset[Perm]:
     """Alternative form, valid for upper decompositions: p is kept when
     d(u, p) < d(u, x) for every x in [z, p] at graph distance one from p."""
-    I.require(z)
     zv = I.upper(z)
     inn, depth, perms = I.index.in_mask, I.depth, I.index.perms
     return frozenset(

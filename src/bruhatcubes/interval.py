@@ -27,6 +27,10 @@ subset of it is a mask too: [z, v] is ``up[z] & mask``.  Ids follow
 in that order, and the lowest set bit of a mask is its first member;
 ``least`` finds the Bruhat-minimum of a member set from it.
 
+:meth:`Interval.member` is the one checked entry from windows to ids, one
+dict lookup and one mask test: every public function that takes a member
+reaches its id through it, and so raises ``OrderError`` for a non-member.
+
 Memos are per bottom.  :func:`per_bottom` memoizes a function
 ``fn(n, u, *rest)`` in ``memos[u]`` of the rank-n index, under the key
 ``(fn, rest)``: the shortcut levels and R-tilde_z of :mod:`~bruhatcubes.hcd`,
@@ -49,7 +53,7 @@ bit p together with ``geo[c]`` for every arrow c -> p with
 
 The Perm-keyed views ``up``, ``down``, ``in_nbrs``, ``out_nbrs``, ``labels``
 and ``dist`` are thin reads of the index and those tables, built on first
-use for ``inspect --edges``, ``distance``, ``geodesics`` and the tests.
+use for ``inspect --edges`` and the tests.
 
 Intervals are immutable once built and hash/compare by (u, v), so they can be
 shared freely.  Use the module-level :func:`interval` factory to get memoized
@@ -277,10 +281,13 @@ class Interval:
     def __iter__(self):
         return iter(self.elements)
 
-    def require(self, *xs: Perm) -> None:
-        for x in xs:
-            if x not in self:
-                raise OrderError(f"{format_perm(x)} is not in {self!r}")
+    def member(self, x: Perm) -> int:
+        """The id of the member x: the one checked entry from windows to
+        ids, OrderError unless x is in the interval."""
+        k = self.index.id.get(x)
+        if k is None or not self.mask >> k & 1:
+            raise OrderError(f"{format_perm(x)} is not in {self!r}")
+        return k
 
     # ---- order ----------------------------------------------------------
 
@@ -290,8 +297,8 @@ class Interval:
         return [perms[k] for k in bits(mask)]
 
     def upper(self, z: Perm) -> int:
-        """The mask of [z, v], for a member z."""
-        return self.index.up[self.index.id[z]] & self.mask
+        """The mask of [z, v]; OrderError unless z is a member."""
+        return self.index.up[self.member(z)] & self.mask
 
     def least(self, mask: int) -> int | None:
         """Id of the Bruhat-minimum of the members in ``mask``, or None when
@@ -322,9 +329,7 @@ class Interval:
         return self._views(self.index.down)
 
     def leq(self, x: Perm, y: Perm) -> bool:
-        self.require(x, y)
-        ids = self.index.id
-        return bool(self.index.up[ids[x]] >> ids[y] & 1)
+        return bool(self.upper(x) >> self.member(y) & 1)
 
     # ---- graph --------------------------------------------------------
 
@@ -381,17 +386,16 @@ class Interval:
 
     def distance(self, x: Perm, y: Perm) -> int | None:
         """Directed-path distance, or None when y is unreachable from x."""
-        self.require(x, y)
-        return self.dist[x].get(y)
+        depth = self.index.distances(self.member(x), self.vid)[0]
+        return depth.get(self.member(y))
 
     def geodesics(self, x: Perm, y: Perm) -> list[Path]:
         """All minimum-length directed paths from x to y (complete): the
         walks from x along arrows that raise d(x, .) by one and stay on the
         geodesic mask of y."""
-        self.require(x, y)
+        bottom, top = self.member(x), self.member(y)
         index = self.index
-        top = index.id[y]
-        depth, geo = index.distances(index.id[x], self.vid)
+        depth, geo = index.distances(bottom, self.vid)
         if top not in depth:
             return []
         on, arrows, perms = geo[top], index.arrows, index.perms
@@ -409,28 +413,25 @@ class Interval:
                     verts.pop()
                     labs.pop()
 
-        walk(index.id[x], [x], [])
+        walk(bottom, [x], [])
         return paths
 
     def covers_of(self, y: Perm) -> list[Perm]:
         """Lower covers of y inside the interval (length gap one)."""
         index = self.index
-        j = index.id[y]
+        j = self.member(y)
         below = index.length[j] - 1
         return [index.perms[c] for c in bits(index.in_mask[j] & self.mask) if index.length[c] == below]
 
     def coatom_reflections(self, x: Perm, y: Perm) -> frozenset[Reflection]:
         """Labels of the coatom edges c -> y of the subinterval [x, y]."""
-        self.require(x, y)
-        if not self.leq(x, y):
+        cone, top = self.upper(x), self.member(y)
+        if not cone >> top & 1:
             raise OrderError(f"{format_perm(x)} is not below {format_perm(y)}")
-        index = self.index
-        top, length = index.id[y], index.length
+        index, length = self.index, self.index.length
         below = length[top] - 1
         return frozenset(
-            index.arrows[c][top]
-            for c in bits(index.in_mask[top] & self.upper(x))
-            if length[c] == below
+            index.arrows[c][top] for c in bits(index.in_mask[top] & cone) if length[c] == below
         )
 
     # ---- diamond completeness ------------------------------------------
@@ -438,7 +439,6 @@ class Interval:
     def is_diamond_complete(self, z: Perm) -> bool:
         """True iff every diamond with both midpoints and top in [z, v] has
         its bottom in [z, v] as well."""
-        self.require(z)
         return self.index.diamond_complete(self.mask, self.upper(z))
 
     # ---- duality --------------------------------------------------------

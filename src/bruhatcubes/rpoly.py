@@ -331,7 +331,6 @@ def increasing_path_counts(
 ) -> dict[Perm, dict[int, int]]:
     """Table a[p][k]: order-increasing length-k paths from the bottom to p
     whose support meets [z, v] only at p, for every p in [z, v]."""
-    I.require(z)
     width, perms = len(order) + 1, I.index.perms
     return {
         perms[p]: {k: c for k, c in enumerate(_coefficients(packed, width)) if c}
