@@ -2,7 +2,7 @@
 independent routes, hypercube decompositions of intervals, shortcut and
 double-shortcut multisets, and exhaustive verification sweeps."""
 
-from .interval import Interval, Path, comparable_pairs, dual_element, interval
+from .interval import Interval, comparable_pairs, dual_element, interval
 from .permutations import (
     Perm,
     Reflection,

@@ -3,10 +3,13 @@
 Commands: ``rtilde``, ``inspect``, ``shortcuts``, ``ds``, ``dh``, ``verify``.
 Each takes ``--format`` and ``--output``; only ``rtilde`` and ``verify``, the
 two that evaluate R-tilde, take ``--cache``/``--no-cache`` and read
-``BRUHAT_CACHE``, and ``rtilde`` only when it runs the recurrence (not
-under ``--method dyer``).  ``--output`` is replaced only when the command
-returns.  Exit codes: 0 success, 1 a proved statement failed during verify,
-2 Bruhat order error, 3 parse error, 4 I/O error, 5 bad configuration.
+``BRUHAT_CACHE``: ``rtilde`` only when it runs the recurrence (not under
+``--method dyer``, which refuses both), and ``verify`` only when a selected
+check evaluates R-tilde (``sweep.RTILDE_CHECKS``); without one, ``verify``
+refuses ``--cache``, accepts ``--no-cache`` and installs no memo.
+``--output`` is replaced only when the command returns.  Exit codes: 0
+success, 1 a proved statement failed during verify, 2 Bruhat order error,
+3 parse error, 4 I/O error, 5 bad configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import argparse
 import os
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 
 from .appendix import dh_multiset, is_cosimple
 from .cache import PolyCache, default_cache_path
@@ -33,7 +36,7 @@ from .rpoly import (
     rtilde_dyer,
     set_cache,
 )
-from .sweep import ALL_CHECKS, SweepConfig, run_sweep, validate_config
+from .sweep import ALL_CHECKS, RTILDE_CHECKS, SweepConfig, run_sweep, validate_config
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -268,7 +271,12 @@ def cmd_verify(args, fh) -> int:
         timings=args.timings,
     )
     validate_config(cfg)
-    with _memo(args):
+    reads_rtilde = any(check in RTILDE_CHECKS for check in checks)
+    if args.cache is not None and not reads_rtilde:
+        raise ConfigError(
+            f"--cache is read only by the checks that evaluate R-tilde: {', '.join(RTILDE_CHECKS)}"
+        )
+    with _memo(args) if reads_rtilde else nullcontext():
         header, records, code = run_sweep(cfg)
     write_report(fh, header, records, args.format)
     return code

@@ -20,12 +20,13 @@ expansion summed two ways, over the joins and over DS(z, z').
 
 The product check repeats its values across the pairs of one product.
 :func:`verify_product` works on ids throughout: block sums come from the
-table ``_block_ids``; the factors' double-expansion (p, b) sets from the
-per-bottom memo ``_expansion_pairs``; and ``functools.cache`` closures
-that live for one call keep the amazing tests, the factors' DS symmetry,
-whether the shortcuts of a block sum factor, the inner matches, and the
-walks of the product, one per ordered pair, which give both its (p, b) set
-and its sorted (degree, b) entries.
+table ``_block_ids``, and every double expansion it reads, of a factor or
+of the product, from ``_walk``, which gives both the (p, b) set of an
+ordered pair and its sorted (degree, b) entries.  The factors' walks recur
+in every product of the factor, so they are a per-bottom memo,
+``_factor_walk``; ``functools.cache`` closures that live for one call keep
+the product's walks, the amazing tests, the factors' DS symmetry, whether
+the shortcuts of a block sum factor, and the inner matches.
 
 Verification drivers return plain report-record dicts.  Statuses: PASS,
 FAIL (a proved statement broke, i.e. an implementation bug), FINDING (a
@@ -36,7 +37,7 @@ SKIP (hypotheses not met).
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from .errors import OrderError
 from .interval import Interval, interval, per_bottom, rank_index
@@ -276,7 +277,9 @@ def verify_bologna(I: Interval, z: Perm, zp: Perm) -> dict:
     chain = bologna_chain(I, z, zp)
     spelled = {c: poly_str(c) for c in set(chain)}
     chain_ok = all(chain[i] == chain[i + 1] for i in range(len(chain) - 1))
-    conclusion = is_r_element(I, zp)
+    # z' is an R-element exactly when R-tilde_{z'}, the chain's last value,
+    # equals R-tilde(u, v), its first
+    conclusion = chain[-1] == chain[0]
     status = "PASS" if (chain_ok and conclusion) else "FAIL"
     rec = _record(
         "bologna",
@@ -312,9 +315,10 @@ def verify_product(
     keeps its answers in ``functools.cache`` closures that live for the
     call: per interval and z, the amazing test; per factor and sorted
     (z, z'), DS symmetry; per block sum z, whether its shortcuts factor; per
-    ordered (z, z') of the product, its one walk and the inner match.  The
-    factors' (p, b) sets come from the per-bottom memo ``_expansion_pairs``,
-    since they recur in every product of the factor.
+    ordered (z, z') of the product, its walk (``_walk``) and the inner
+    match.  The factors' walks, which give both their DS symmetry and their
+    (p, b) sets, come from the per-bottom memo ``_factor_walk``, since they
+    recur in every product of the factor.
     """
     P = interval(direct_sum(I1.u, I2.u), direct_sum(I1.v, I2.v))
     if pairs is None:
@@ -338,10 +342,7 @@ def verify_product(
     @cache
     def ds_symmetric_in(m: int, a: int, b: int, z: int, zp: int) -> bool:
         # asked with z <= z', so one answer serves both orders; (z, z) is symmetric
-        return z == zp or (
-            _double_entries(m, a, shortcut_level, b, z, zp)
-            == _double_entries(m, a, shortcut_level, b, zp, z)
-        )
+        return z == zp or _factor_walk(m, a, b, z, zp)[1] == _factor_walk(m, a, b, zp, z)[1]
 
     @cache
     def shortcuts_factor(z1: int, z2: int) -> bool:
@@ -350,10 +351,7 @@ def verify_product(
         expected = {block[a][b] for _, a in w1 for _, b in w2}
         return {p for _, p in shortcut_level(n, u, v, block[z1][z2])} == expected
 
-    @cache
-    def walk(z: int, zp: int) -> tuple:
-        steps = list(double_expansion(shortcut_level, n, u, v, z, zp))
-        return {(p, b) for _, p, b in steps}, sorted((d, b) for d, _, b in steps)
+    walk = cache(partial(_walk, n, u, v))
 
     @cache
     def inner_match(zs: tuple[int, int], zps: tuple[int, int], z: int, zp: int) -> bool:
@@ -362,8 +360,8 @@ def verify_product(
         # z-shortcuts factor, so both sides group their pairs by the same p,
         # and it says that for every p the shortcuts of [p, V] for the join
         # of z' and p factor
-        pairs1 = _expansion_pairs(*span1, zs[0], zps[0])
-        pairs2 = _expansion_pairs(*span2, zs[1], zps[1])
+        pairs1 = _factor_walk(*span1, zs[0], zps[0])[0]
+        pairs2 = _factor_walk(*span2, zs[1], zps[1])[0]
         expected = {
             (block[p1][p2], block[b1][b2]) for p1, b1 in pairs1 for p2, b2 in pairs2
         }
@@ -423,9 +421,13 @@ def _block_ids(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@per_bottom
-def _expansion_pairs(n: int, u: int, v: int, z: int, zp: int) -> frozenset[tuple[int, int]]:
-    """The (p, b) of the double expansion of (z, z') over shortcuts, by id;
-    read for the factors of a product, whose pairs recur in every product
-    they are part of."""
-    return frozenset((p, b) for _, p, b in double_expansion(shortcut_level, n, u, v, z, zp))
+def _walk(n: int, u: int, v: int, z: int, zp: int) -> tuple[frozenset, tuple]:
+    """The double expansion of (z, z') in [u, v] over shortcuts, by id: its
+    (p, b) set and its sorted (degree, b) entries."""
+    steps = list(double_expansion(shortcut_level, n, u, v, z, zp))
+    return frozenset((p, b) for _, p, b in steps), tuple(sorted((d, b) for d, _, b in steps))
+
+
+# the factors of a product keep their walks per bottom: they recur in every
+# product the factor is part of
+_factor_walk = per_bottom(_walk)

@@ -339,13 +339,6 @@ def is_upper_hcd(I: Interval, z: Perm) -> bool:
     return _upper_hcd(*_member_key(I, z))
 
 
-def _minimum(I: Interval, mask: int) -> Perm | None:
-    """The Bruhat-minimum of the members in ``mask``, or None when there is
-    none."""
-    k = I.least(mask)
-    return None if k is None else I.index.perms[k]
-
-
 def standard_hcd_kinds(I: Interval) -> dict[str, Perm]:
     """The four coset minima that are always upper hypercube decompositions.
 
@@ -363,12 +356,12 @@ def standard_hcd_kinds(I: Interval) -> dict[str, Perm]:
     }
     out: dict[str, Perm] = {}
     for kind, coset in cosets.items():
-        m = _minimum(I, I.mask & coset)
-        if m is None:
+        k = I.least(I.mask & coset)
+        if k is None:
             raise LookupError(
                 f"coset intersection in {I!r} has no Bruhat-minimum ({kind}); this is a bug"
             )
-        out[kind] = m
+        out[kind] = I.index.perms[k]
     return out
 
 
@@ -380,7 +373,8 @@ def standard_hcds(I: Interval) -> tuple[Perm, ...]:
 
 def join(I: Interval, z: Perm, x: Perm) -> Perm | None:
     """Bruhat-minimum of [z, v] with [x, v] inside the interval, or None."""
-    return _minimum(I, I.upper(z) & I.upper(x))
+    k = _join_id(I.index.up, I.upper(z), I.member(x))
+    return None if k < 0 else I.index.perms[k]
 
 
 def _join_id(up: tuple[int, ...], zv: int, x: int) -> int:
@@ -462,8 +456,8 @@ shortcut_level = per_bottom(_shortcut_level)
 
 def shortcuts(I: Interval, z: Perm) -> frozenset[Perm]:
     """p in [z, v] such that every geodesic from u to p meets [z, v] only
-    at p, read off the shortcut level; the path-enumeration form is kept as
-    a test oracle."""
+    at p, read off the shortcut level; its path-enumeration form is the
+    test oracle ``tests/oracles.shortcuts_brute``."""
     perms = I.index.perms
     return frozenset(perms[p] for _, p in shortcut_level(*_member_key(I, z)))
 

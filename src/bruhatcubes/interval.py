@@ -35,7 +35,7 @@ Memos are per bottom.  :func:`per_bottom` memoizes a function
 ``fn(n, u, *rest)`` in ``memos[u]`` of the rank-n index, under the key
 ``(fn, rest)``: the shortcut levels and R-tilde_z of :mod:`~bruhatcubes.hcd`,
 the hypercube levels of :mod:`~bruhatcubes.appendix`, the double-expansion
-entries and pairs and the Bologna chain's pair sums of
+entries, the product factors' walks and the Bologna chain's pair sums of
 :mod:`~bruhatcubes.doubles` and the label passes of :mod:`~bruhatcubes.rpoly`
 live there, beside the distance tables below.  A
 check of [u, v] reads only the memos of bottoms in [u, v], whose ids are at
@@ -53,7 +53,10 @@ bit p together with ``geo[c]`` for every arrow c -> p with
 
 The Perm-keyed views ``up``, ``down``, ``in_nbrs``, ``out_nbrs``, ``labels``
 and ``dist`` are thin reads of the index and those tables, built on first
-use for ``inspect --edges`` and the tests.
+use for ``inspect --edges`` (``labels``, through ``edges``), the tests and
+``perfbench/tracer.py``.  Geodesics are read only as the masks ``geo``, not
+walked as paths: the shortcut level of :mod:`~bruhatcubes.hcd` reads them,
+and the tests check them against ``tests/oracles.geodesics_brute``.
 
 Intervals are immutable once built and hash/compare by (u, v), so they can be
 shared freely.  Use the module-level :func:`interval` factory to get memoized
@@ -64,7 +67,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property, lru_cache, wraps
-from typing import NamedTuple
 
 from .errors import OrderError
 from .permutations import (
@@ -77,16 +79,6 @@ from .permutations import (
 )
 
 MAX_RANK = 7
-
-
-class Path(NamedTuple):
-    """A directed edge path: r+1 vertices joined by r labeled steps."""
-
-    vertices: tuple[Perm, ...]
-    labels: tuple[Reflection, ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 class RankIndex:
@@ -227,10 +219,10 @@ def per_bottom(fn):
     return memoized
 
 
-def _span(u: Perm, v: Perm) -> tuple[RankIndex, int]:
-    """The index of the rank of u and v, and the mask of [u, v] (0 unless
-    u <= v); OrderError for a rank mismatch or a tuple that is not a
-    window."""
+def _span(u: Perm, v: Perm) -> tuple[RankIndex, int, int, int]:
+    """The index of the rank of u and v, the mask of [u, v] (0 unless
+    u <= v) and the ids of u and v; OrderError for a rank mismatch or a
+    tuple that is not a window."""
     if len(u) != len(v):
         raise OrderError(f"rank mismatch: {u} vs {v}")
     index = rank_index(len(u))
@@ -238,12 +230,13 @@ def _span(u: Perm, v: Perm) -> tuple[RankIndex, int]:
     for w in (u, v):
         if w not in ids:
             raise OrderError(f"not a permutation window: {w}")
-    return index, index.up[ids[u]] & index.down[ids[v]]
+    uid, vid = ids[u], ids[v]
+    return index, index.up[uid] & index.down[vid], uid, vid
 
 
 class Interval:
     def __init__(self, u: Perm, v: Perm):
-        index, mask = _span(u, v)
+        index, mask, uid, vid = _span(u, v)
         if not mask:
             raise OrderError(f"{format_perm(u)} is not below {format_perm(v)} in Bruhat order")
         self.n = len(u)
@@ -251,8 +244,8 @@ class Interval:
         self.v = v
         self.index = index
         self.mask = mask
-        self.uid = index.id[u]
-        self.vid = index.id[v]
+        self.uid = uid
+        self.vid = vid
         self._hash = hash((u, v))
 
     @cached_property
@@ -368,11 +361,6 @@ class Interval:
         """d(u, p) by id, for every p in the interval (the bottom's table)."""
         return self.index.distances(self.uid, self.vid)[0]
 
-    @property
-    def geo_mask(self) -> dict[int, int]:
-        """The members on some geodesic from u to p, by the id of p."""
-        return self.index.distances(self.uid, self.vid)[1]
-
     @cached_property
     def dist(self) -> dict[Perm, dict[Perm, int]]:
         """Directed distances, read off each member's bottom table; an
@@ -388,40 +376,6 @@ class Interval:
         """Directed-path distance, or None when y is unreachable from x."""
         depth = self.index.distances(self.member(x), self.vid)[0]
         return depth.get(self.member(y))
-
-    def geodesics(self, x: Perm, y: Perm) -> list[Path]:
-        """All minimum-length directed paths from x to y (complete): the
-        walks from x along arrows that raise d(x, .) by one and stay on the
-        geodesic mask of y."""
-        bottom, top = self.member(x), self.member(y)
-        index = self.index
-        depth, geo = index.distances(bottom, self.vid)
-        if top not in depth:
-            return []
-        on, arrows, perms = geo[top], index.arrows, index.perms
-        paths: list[Path] = []
-
-        def walk(c: int, verts: list[Perm], labs: list[Reflection]) -> None:
-            if c == top:
-                paths.append(Path(tuple(verts), tuple(labs)))
-                return
-            for w, t in arrows[c].items():
-                if on >> w & 1 and depth[w] == depth[c] + 1:
-                    verts.append(perms[w])
-                    labs.append(t)
-                    walk(w, verts, labs)
-                    verts.pop()
-                    labs.pop()
-
-        walk(bottom, [x], [])
-        return paths
-
-    def covers_of(self, y: Perm) -> list[Perm]:
-        """Lower covers of y inside the interval (length gap one)."""
-        index = self.index
-        j = self.member(y)
-        below = index.length[j] - 1
-        return [index.perms[c] for c in bits(index.in_mask[j] & self.mask) if index.length[c] == below]
 
     def coatom_reflections(self, x: Perm, y: Perm) -> frozenset[Reflection]:
         """Labels of the coatom edges c -> y of the subinterval [x, y]."""

@@ -26,7 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import ParseError, WordError
+from .errors import ParseError
 
 Perm = tuple[int, ...]
 Reflection = tuple[int, int]
@@ -72,20 +72,6 @@ def format_perm(w: Perm) -> str:
     if len(w) <= 9:
         return "".join(str(a) for a in w)
     return ",".join(str(a) for a in w)
-
-
-def parse_reflection(text: str) -> Reflection:
-    """Parse ``"t(1,3)"`` into the position pair (1, 3)."""
-    text = text.strip()
-    if not (text.startswith("t(") and text.endswith(")")):
-        raise ParseError(f"bad reflection {text!r}")
-    try:
-        i, j = (int(part) for part in text[2:-1].split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad reflection {text!r}") from exc
-    if not 1 <= i < j:
-        raise ParseError(f"bad reflection {text!r}")
-    return (i, j)
 
 
 def format_reflection(t: Reflection) -> str:
@@ -141,11 +127,6 @@ def right_multiply_simple(x: Perm, i: int) -> Perm:
     w = list(x)
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
-
-
-def right_descents(w: Perm) -> list[int]:
-    """Indices i with w(i) > w(i+1), i.e. length(w * s_i) < length(w)."""
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
 @lru_cache(maxsize=0)
@@ -243,16 +224,6 @@ def direct_sum(a: Perm, b: Perm) -> Perm:
     """
     k = len(a)
     return a + tuple(val + k for val in b)
-
-
-def from_word(n: int, word) -> Perm:
-    """Product of the simple generators listed in ``word``."""
-    w = list(range(1, n + 1))
-    for i in word:
-        if not 1 <= i < n:
-            raise WordError(f"generator index {i} out of range for rank {n}")
-        w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
 
 
 def is_reduced_word(n: int, word) -> bool:

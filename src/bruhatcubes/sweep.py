@@ -49,6 +49,9 @@ ALL_CHECKS = (
     "lemma-paths",
 )
 
+# the checks that evaluate R-tilde, and so read the polynomial memo
+RTILDE_CHECKS = ("dyer", "standard-hcd", "congettura", "bologna")
+
 # exhaustive sweeps stay cheap only up to these ranks
 _EXHAUSTIVE_LIMIT = {"dyer": 6, "standard-hcd": 6, "lemma-paths": 4}
 _EXHAUSTIVE_DEFAULT_LIMIT = 5

@@ -78,7 +78,7 @@ def test_cosimple_examples():
 def test_cosimple_false_when_coatoms_exceed_root_rank():
     # four coatom roots cannot be independent in the rank-3 root space
     I = interval(identity(4), (3, 4, 1, 2))
-    assert len(I.covers_of(I.v)) == 4
+    assert len(I.coatom_reflections(I.u, I.v)) == 4
     assert not is_cosimple(I)
 
 

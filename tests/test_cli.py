@@ -18,7 +18,7 @@ from bruhatcubes.hcd import shortcuts
 from bruhatcubes.interval import interval
 from bruhatcubes.permutations import format_perm, parse_perm
 from bruhatcubes.rpoly import canonical_orders, get_cache, rtilde, set_cache
-from bruhatcubes.sweep import ALL_CHECKS, SweepConfig, validate_config
+from bruhatcubes.sweep import ALL_CHECKS, RTILDE_CHECKS, SweepConfig, run_sweep, validate_config
 
 
 def run(capsys, *argv):
@@ -99,6 +99,38 @@ def test_rtilde_dyer_opens_no_memo(tmp_path, capsys, monkeypatch):
         assert get_cache() is previous
     finally:
         set_cache(previous)
+    assert not path.exists()
+
+
+def test_verify_opens_a_memo_only_for_checks_that_evaluate_rtilde(
+    tmp_path, capsys, monkeypatch, clear_memos
+):
+    # each check alone, with a fresh memo and every other memo cleared: the
+    # memo fills for exactly the checks by which verify reads a cache
+    # (product runs at ranks 5 and 6 only)
+    previous = get_cache()
+    filled = set()
+    try:
+        for check in ALL_CHECKS:
+            clear_memos()
+            memo = PolyCache(None)
+            set_cache(memo)
+            run_sweep(SweepConfig(n=5 if check == "product" else 4, checks=(check,)))
+            if len(memo):
+                filled.add(check)
+    finally:
+        set_cache(previous)
+    assert filled == set(RTILDE_CHECKS)
+    # without such a check, --cache is refused, --no-cache accepted, and
+    # neither option nor BRUHAT_CACHE installs a memo or opens a file
+    path = tmp_path / "poly.jsonl"
+    argv = ["verify", "--n", "3", "--checks", "em0,strong-ds", "--mode", "exhaustive"]
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert (code, out) == (5, "") and "--cache" in err
+    monkeypatch.setenv("BRUHAT_CACHE", str(path))
+    for memo in ([], ["--no-cache"]):
+        assert run(capsys, *argv, *memo)[0] == 0
+        assert get_cache() is previous
     assert not path.exists()
 
 
@@ -563,9 +595,10 @@ def test_bad_cache_record_exits_with_io_error(tmp_path, capsys, bad_record):
         (["rtilde", "--u", "12", "--v", "321"], 3),
         (["rtilde", "--u", "123", "--v", "321", "--method", "both", "--order-word", "1,x"], 3),
         (["rtilde", "--u", "123", "--v", "321", "--method", "both", "--order-word", "1,1,1"], 3),
+        (["verify", "--n", "3", "--checks", "em0,strong-ds", "--mode", "exhaustive"], 5),
     ],
     ids=["unknown-check", "rank-0", "order-word-unread", "not-below", "rank-mismatch",
-         "order-word-not-a-word", "order-word-not-reduced"],
+         "order-word-not-a-word", "order-word-not-reduced", "cache-unread"],
 )
 def test_refused_command_creates_no_cache_file(tmp_path, capsys, argv, code):
     # the memo, and with it the cache file, is installed only once the

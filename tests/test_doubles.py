@@ -248,31 +248,30 @@ def _count_calls(monkeypatch, module, names) -> Counter:
     return asked
 
 
-def test_product_asks_each_amazing_test_and_ds_symmetry_once(monkeypatch):
+def test_product_asks_each_amazing_test_and_ds_symmetry_once(monkeypatch, clear_memos):
     # a factor has at most four standard decompositions, so its tests repeat
-    # across the pairs of a product; one call asks each amazing test, each
-    # factor DS symmetry (the DS entries of both orders) and each walk of
-    # the product once
+    # across the pairs of a product; one call asks each amazing test once
+    # and walks each ordered pair once, of the factor (for both its DS
+    # symmetry and its (p, b) sets) and of the product.  The memos are
+    # cleared first, so that no walk of an earlier test hides one
     import bruhatcubes.doubles as doubles
 
-    asked = _count_calls(monkeypatch, doubles, ("_amazing", "_double_entries", "double_expansion"))
+    clear_memos()
+    asked = _count_calls(monkeypatch, doubles, ("_amazing", "double_expansion"))
     records = verify_product(I3, I3)
     assert len(records) == len(standard_hcds(I3)) ** 4
     assert {rec["status"] for rec in records} == {"PASS"}
     assert asked and max(asked.values()) == 1
     P = interval(direct_sum(E3, E3), direct_sum(W3, W3))
     ids = P.index.id
-    walked = [args[4:] for name, args in asked if name == "double_expansion" and args[1] == 6]
     sums = {ids[direct_sum(a, b)] for a in standard_hcds(I3) for b in standard_hcds(I3)}
-    assert sorted(walked) == sorted((z, zp) for z in sums for zp in sums)
+    zs = [I3.index.id[z] for z in standard_hcds(I3)]
+    for n, members in ((6, sums), (3, zs)):
+        walked = [args[4:] for name, args in asked if name == "double_expansion" and args[1] == n]
+        assert sorted(walked) == sorted((z, zp) for z in members for zp in members)
     factor = I3.n, I3.uid, I3.vid
-    factor_queries = [
-        args
-        for name, args in asked
-        if (name == "_amazing" and args[:3] == factor)
-        or (name == "_double_entries" and args[:2] == factor[:2] and args[3] == factor[2])
-    ]
-    assert len(factor_queries) <= 4 + 4 * 4  # per decomposition, per pair
+    factor_tests = [args for name, args in asked if name == "_amazing" and args[:3] == factor]
+    assert sorted(args[3] for args in factor_tests) == sorted(zs)
 
 
 def _product_outcomes(monkeypatch, name, fault) -> Counter:
@@ -308,17 +307,18 @@ def test_product_fails_when_shortcuts_do_not_factor(monkeypatch):
 
 
 def test_product_fails_when_inner_shortcuts_do_not_factor(monkeypatch):
-    # a factor's (p, b) set of (z, z') loses one pair when z > z'.  The
-    # inner match of a product pair fails when a component has z > z'
+    # a factor's walk of (z, z') loses one (p, b) pair when z > z', its
+    # (degree, b) entries kept, so the factors' DS symmetry still holds.
+    # The inner match of a product pair fails when a component has z > z'
     # (7 pairs); else the reverse match fails when one has z < z' (5)
     def fault(real):
         def fewer(n, u, v, z, zp):
-            pairs = real(n, u, v, z, zp)
-            return frozenset(sorted(pairs)[1:]) if z > zp else pairs
+            pairs, entries = real(n, u, v, z, zp)
+            return (frozenset(sorted(pairs)[1:]) if z > zp else pairs), entries
 
         return fewer
 
-    assert _product_outcomes(monkeypatch, "_expansion_pairs", fault) == {
+    assert _product_outcomes(monkeypatch, "_factor_walk", fault) == {
         ("FAIL", "inner shortcuts do not factor"): 7,
         ("FAIL", "reverse inner shortcuts do not factor"): 5,
         ("PASS", None): 4,

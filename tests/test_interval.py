@@ -95,35 +95,6 @@ def test_distance_requires_membership():
         I.distance(E3, W3)
 
 
-def test_geodesics_examples():
-    I = interval(E3, W3)
-    assert [len(p.labels) for p in I.geodesics(E3, E3)] == [0]
-    assert len(I.geodesics(E3, W3)) == 1
-    via = {p.vertices[1] for p in I.geodesics(E3, (2, 3, 1))}
-    assert via == {(1, 3, 2), (2, 1, 3)}
-
-
-def test_geodesics_match_brute_force_s4():
-    I = interval(identity(4), longest_element(4))
-    members = set(I.elements)
-    for x, y in [
-        (identity(4), (3, 4, 1, 2)),
-        ((2, 1, 3, 4), (4, 3, 2, 1)),
-        ((1, 3, 2, 4), (4, 2, 3, 1)),
-    ]:
-        fast = {(p.vertices) for p in I.geodesics(x, y)}
-        brute = {tuple(p) for p in geodesics_brute(members, x, y)}
-        assert fast == brute
-
-
-def test_paths_supported_inside_endpoints():
-    I = interval(identity(4), longest_element(4))
-    for x, y in [(identity(4), (2, 4, 1, 3)), ((1, 3, 2, 4), (4, 3, 2, 1))]:
-        for p in I.geodesics(x, y):
-            for w in p.vertices:
-                assert bruhat_leq(x, w) and bruhat_leq(w, y)
-
-
 def test_edges_match_pairwise_scan_s4():
     for u, v in [((1, 2, 4, 3), (4, 2, 3, 1)), (identity(4), (3, 4, 2, 1))]:
         I = interval(u, v)
@@ -332,12 +303,13 @@ def test_bottom_distances_and_geodesic_masks_match_oracles_s4():
     for u, v in comparable_pairs(4):
         I = interval(u, v)
         ids = I.index.id
+        geo = I.index.distances(I.uid, I.vid)[1]
         members = set(I.elements)
         for x in I.elements:
             geodesics = geodesics_brute(members, u, x)
             assert I.depth[ids[x]] == I.dist[u][x] == len(geodesics[0]) - 1
             on_geodesics = {w for path in geodesics for w in path}
-            assert set(I.members(I.geo_mask[ids[x]])) == on_geodesics, (u, v, x)
+            assert set(I.members(geo[ids[x]])) == on_geodesics, (u, v, x)
             # every path from x stays above x, so the oracle searches that cone
             cone = {y for y in members if subword_leq(x, y)}
             for y in I.elements:

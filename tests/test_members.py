@@ -70,9 +70,6 @@ MEMBER_SLOTS = [
     ("Interval.leq/y", I, lambda x: I.leq(U, x)),
     ("Interval.distance/x", I, lambda x: I.distance(x, V)),
     ("Interval.distance/y", I, lambda x: I.distance(U, x)),
-    ("Interval.geodesics/x", I, lambda x: I.geodesics(x, V)),
-    ("Interval.geodesics/y", I, lambda x: I.geodesics(U, x)),
-    ("Interval.covers_of", I, I.covers_of),
     ("Interval.coatom_reflections/x", I, lambda x: I.coatom_reflections(x, V)),
     ("Interval.coatom_reflections/y", I, lambda x: I.coatom_reflections(U, x)),
     ("Interval.is_diamond_complete", I, I.is_diamond_complete),
@@ -185,10 +182,6 @@ DEFECTS = [
             interval((1, 2, 3, 4), (2, 3, 1, 4)), (1, 1, 2, 3)
         ),
         id="crossing-not-a-window",
-    ),
-    pytest.param(
-        lambda: interval((1, 2, 3, 4), (2, 3, 1, 4)).covers_of((4, 3, 2, 1)),
-        id="covers-of-window-outside",
     ),
     pytest.param(
         lambda: interval((1, 2, 3, 4), (2, 3, 1, 4)).upper((1, 1, 2, 3)),

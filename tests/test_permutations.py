@@ -12,7 +12,6 @@ from bruhatcubes.permutations import (
     conjugate_by_longest,
     direct_sum,
     format_perm,
-    from_word,
     identity,
     incomparable,
     inverse,
@@ -20,9 +19,7 @@ from bruhatcubes.permutations import (
     length,
     longest_element,
     parse_perm,
-    parse_reflection,
     reflections,
-    right_descents,
     right_multiply_reflection,
 )
 
@@ -171,23 +168,15 @@ def test_parse_and_format():
     assert format_perm((2, 1, 4, 3)) == "2143"
     long = tuple(range(10, 0, -1))
     assert parse_perm(format_perm(long)) == long
-    assert parse_reflection("t(1,3)") == (1, 3)
-    for bad in ("", "1223", "t(3,1)", "12,3", "abc"):
+    for bad in ("", "1223", "12,3", "abc"):
         with pytest.raises(ParseError):
-            parse_perm(bad) if not bad.startswith("t") else parse_reflection(bad)
+            parse_perm(bad)
 
 
 def test_words():
-    assert from_word(3, (1, 2, 1)) == (3, 2, 1)
     assert is_reduced_word(3, (1, 2, 1))
     assert not is_reduced_word(3, (1, 1))
     assert not is_reduced_word(3, (3,))
-
-
-def test_right_descents():
-    assert right_descents((1, 2, 3)) == []
-    assert right_descents((3, 2, 1)) == [1, 2]
-    assert right_descents((2, 3, 1)) == [2]
 
 
 def test_conjugate_by_longest():
