@@ -7,9 +7,11 @@ two that evaluate R-tilde, take ``--cache``/``--no-cache`` and read
 ``--method dyer``, which refuses both), and ``verify`` only when a selected
 check evaluates R-tilde (``sweep.RTILDE_CHECKS``); without one, ``verify``
 refuses ``--cache``, accepts ``--no-cache`` and installs no memo.
-``--output`` is replaced only when the command returns.  Exit codes: 0
-success, 1 a proved statement failed during verify, 2 Bruhat order error,
-3 parse error, 4 I/O error, 5 bad configuration.
+``--output`` is replaced only when the command returns.  ``verify`` writes
+each record as soon as it is made (``sweep.stream_sweep``) and keeps none,
+so a sweep that raises part-way leaves the records made before it on
+stdout.  Exit codes: 0 success, 1 a proved statement failed during verify,
+2 Bruhat order error, 3 parse error, 4 I/O error, 5 bad configuration.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .rpoly import (
     rtilde_dyer,
     set_cache,
 )
-from .sweep import ALL_CHECKS, RTILDE_CHECKS, SweepConfig, run_sweep, validate_config
+from .sweep import ALL_CHECKS, RTILDE_CHECKS, SweepConfig, stream_sweep
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -270,16 +272,25 @@ def cmd_verify(args, fh) -> int:
         max_interval_size=max_size,
         timings=args.timings,
     )
-    validate_config(cfg)
+    stream = stream_sweep(cfg)
+    header = next(stream)  # validates cfg
     reads_rtilde = any(check in RTILDE_CHECKS for check in checks)
     if args.cache is not None and not reads_rtilde:
         raise ConfigError(
             f"--cache is read only by the checks that evaluate R-tilde: {', '.join(RTILDE_CHECKS)}"
         )
+    failed = False
+
+    def watched():
+        nonlocal failed
+        for rec in stream:
+            failed = failed or rec.get("status") == "FAIL"
+            yield rec
+
+    # each record is written as soon as it is made, and none is kept
     with _memo(args) if reads_rtilde else nullcontext():
-        header, records, code = run_sweep(cfg)
-    write_report(fh, header, records, args.format)
-    return code
+        write_report(fh, header, watched(), args.format)
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 def main(argv=None) -> int:

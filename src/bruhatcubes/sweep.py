@@ -4,7 +4,8 @@ dispatch, and deterministic report assembly.
 A sweep runs a set of named checks over every comparable pair of one rank
 (exhaustive mode) or over a seeded uniform sample of pairs (sample mode).
 Records are emitted in pair order, so a report body is a pure function of
-the configuration.
+the configuration.  :func:`stream_sweep` yields them as they are made, so a
+sweep holds one pair's records at a time; :func:`run_sweep` collects them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import random
 import time
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .appendix import (
     is_cosimple,
@@ -52,8 +53,9 @@ ALL_CHECKS = (
 # the checks that evaluate R-tilde, and so read the polynomial memo
 RTILDE_CHECKS = ("dyer", "standard-hcd", "congettura", "bologna")
 
-# exhaustive sweeps stay cheap only up to these ranks
-_EXHAUSTIVE_LIMIT = {"dyer": 6, "standard-hcd": 6, "lemma-paths": 4}
+# exhaustive sweeps are allowed up to the ranks at which they were measured
+# to finish (S6 congettura and em0 take minutes)
+_EXHAUSTIVE_LIMIT = {"dyer": 6, "standard-hcd": 6, "congettura": 6, "em0": 6, "lemma-paths": 4}
 _EXHAUSTIVE_DEFAULT_LIMIT = 5
 
 CONVENTIONS = {
@@ -87,14 +89,20 @@ class SweepConfig(NamedTuple):
     def fingerprint_digest(self) -> str:
         """Short stable id of the configuration and conventions; stamped on
         every record so appended report files stay self-describing."""
-        # imported here: hashlib maps OpenSSL's libcrypto, a few MB that only
-        # a sweep needs
-        import hashlib
+        # CPython's built-in sha256 (3.12 and later, then 3.10 and 3.11), not
+        # hashlib, which maps OpenSSL's libcrypto: a few MB for one digest
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
 
         blob = json.dumps(
             {"config": self.fingerprint(), "conventions": CONVENTIONS}, sort_keys=True
         )
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return sha256(blob.encode()).hexdigest()[:12]
 
 
 def validate_config(cfg: SweepConfig) -> None:
@@ -276,45 +284,43 @@ _CHECK_FUNCS = {
 }
 
 
-def product_records(cfg: SweepConfig) -> list[dict]:
-    """Block-sum transfer checks; rank 5 splits as 2+3, rank 6 as 3+3."""
+def product_records(cfg: SweepConfig) -> Iterator[dict]:
+    """Block-sum transfer checks, yielded one product at a time; rank 5
+    splits as 2+3, rank 6 as 3+3."""
     if cfg.n == 5:
         splits = [(2, 3)]
     elif cfg.n == 6:
         splits = [(3, 3)]
     else:
-        return [
-            {
-                "check": "product",
-                "n": cfg.n,
-                "status": "SKIP",
-                "reason": "product check is defined for ranks 5 and 6",
-            }
-        ]
-    records: list[dict] = []
+        yield {
+            "check": "product",
+            "n": cfg.n,
+            "status": "SKIP",
+            "reason": "product check is defined for ranks 5 and 6",
+        }
+        return
     for n1, n2 in splits:
         for u1, v1 in comparable_pairs(n1):
             for u2, v2 in comparable_pairs(n2):
                 if cfg.max_interval_size is not None:
                     if interval_size(u1, v1) * interval_size(u2, v2) > cfg.max_interval_size:
                         continue
-                records.extend(verify_product(interval(u1, v1), interval(u2, v2)))
-    return records
+                yield from verify_product(interval(u1, v1), interval(u2, v2))
 
 
 # ---------------------------------------------------------------------------
 # the sweep itself
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
-    """Run every selected check; returns (header, records, exit_code).
-
-    Exit code 1 signals at least one FAIL record (a proved statement broke);
-    FINDING records never affect the exit code.
+def stream_sweep(cfg: SweepConfig) -> Iterator[dict]:
+    """The report of a sweep as it is made: the header first, then each
+    check's records as soon as that check of its pair is done, each stamped
+    with ``fp``.  ``cfg`` is validated before the header is yielded, so a
+    bad configuration raises :class:`ConfigError` before anything is written.
     """
     validate_config(cfg)
     digest = cfg.fingerprint_digest()
-    header = {
+    yield {
         "report_version": 1,
         "tool": "bruhatcubes",
         "config": cfg.fingerprint(),
@@ -322,7 +328,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
         "fp": digest,
     }
     interval_checks = [c for c in cfg.checks if c in _CHECK_FUNCS]
-    records: list[dict] = []
     if interval_checks:
         bottom = None
         for pair in sweep_pairs(cfg):
@@ -340,10 +345,22 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
                     ms = int((time.perf_counter() - start) * 1000)
                     for rec in recs:
                         rec["ms"] = ms
-                records.extend(recs)
+                for rec in recs:
+                    rec["fp"] = digest
+                    yield rec
     if "product" in cfg.checks:
-        records.extend(product_records(cfg))
-    for rec in records:
-        rec.setdefault("fp", digest)
+        for rec in product_records(cfg):
+            rec["fp"] = digest
+            yield rec
+
+
+def run_sweep(cfg: SweepConfig) -> tuple[dict, list[dict], int]:
+    """Run every selected check; returns (header, records, exit_code), with
+    every record of :func:`stream_sweep` held in one list.
+
+    Exit code 1 signals at least one FAIL record (a proved statement broke);
+    FINDING records never affect the exit code.
+    """
+    header, *records = stream_sweep(cfg)
     failed = any(rec.get("status") == "FAIL" for rec in records)
     return header, records, 1 if failed else 0

@@ -202,7 +202,7 @@ def test_criterion_07_product_transfer():
     started = time.perf_counter()
     counts = Counter()
     for n in (5, 6):
-        records = product_records(SweepConfig(n=n, checks=("product",), mode="sample", seed=1))
+        records = list(product_records(SweepConfig(n=n, checks=("product",), mode="sample", seed=1)))
         counts.update(r["status"] for r in records)
         assert all(r["status"] == "PASS" for r in records), n
     _report("7", "block-sum transfer", started, True,

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import signal
@@ -357,7 +358,8 @@ def test_verify_output_file(capsys, tmp_path):
 def test_verify_output_io_error(capsys, monkeypatch):
     from bruhatcubes import cli
 
-    monkeypatch.setattr(cli, "run_sweep", _refuse)
+    # the output path fails before the sweep starts
+    monkeypatch.setattr(cli, "stream_sweep", _refuse)
     code, _, _ = run(
         capsys, "verify", "--n", "3", "--checks", "dyer", "--mode", "exhaustive",
         "--output", "/nonexistent-dir/report.jsonl", "--no-cache",
@@ -659,6 +661,117 @@ def test_failing_checks_write_standard_fail_records(monkeypatch):
     }
 
 
+def test_stream_sweep_yields_the_report_of_run_sweep():
+    from bruhatcubes.sweep import stream_sweep
+
+    cfg = SweepConfig(n=4, checks=ALL_CHECKS, mode="exhaustive")
+    header, records, code = run_sweep(cfg)
+    streamed = list(stream_sweep(cfg))
+    assert code == 0
+    assert streamed == [header, *records]
+    assert all(rec["fp"] == header["fp"] == cfg.fingerprint_digest() for rec in records)
+
+
+def test_verify_writes_each_record_before_the_next_check_runs(monkeypatch):
+    # the stand-in check notes how many lines the report holds when it is
+    # called: the header and one record for each call before it
+    import io
+
+    from bruhatcubes import sweep
+    from bruhatcubes.doubles import _record
+
+    out = io.StringIO()
+    written = []
+
+    def counting(I):
+        written.append(out.getvalue().count("\n"))
+        return [_record("dyer", I, "PASS")]
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setitem(sweep._CHECK_FUNCS, "dyer", counting)
+    argv = ["verify", "--n", "3", "--checks", "dyer", "--mode", "exhaustive", "--format", "json"]
+    assert main([*argv, "--no-cache"]) == 0
+    assert written == list(range(1, 20))  # 19 comparable S3 pairs
+    assert out.getvalue().count("\n") == 20
+
+
+@pytest.mark.parametrize("fail", [None, "first", "last"])
+def test_verify_exits_1_once_a_fail_record_has_been_written(monkeypatch, capsys, fail):
+    # the only FAIL is the report's first record (the first pair's dyer
+    # record) or its last (the last product record)
+    from bruhatcubes import sweep
+
+    check_dyer, product_records = sweep.check_dyer, sweep.product_records
+
+    def first_fails(I):
+        records = check_dyer(I)
+        if (I.u, I.v) == ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)):
+            records[0]["status"] = "FAIL"
+        return records
+
+    def last_fails(cfg):
+        records = list(product_records(cfg))
+        records[-1]["status"] = "FAIL"
+        yield from records
+
+    if fail == "first":
+        monkeypatch.setitem(sweep._CHECK_FUNCS, "dyer", first_fails)
+    elif fail == "last":
+        monkeypatch.setattr(sweep, "product_records", last_fails)
+    code, out, _ = run(
+        capsys, "verify", "--n", "5", "--checks", "dyer,product", "--mode", "exhaustive",
+        "--max-interval-size", "4", "--no-cache", "--format", "json",
+    )
+    records = [json.loads(line) for line in out.splitlines()[1:]]
+    statuses = [rec["status"] for rec in records]
+    assert records[0]["check"] == "dyer" and records[-1]["check"] == "product"
+    if fail is None:
+        assert code == 0 and "FAIL" not in statuses
+    else:
+        assert code == 1
+        assert statuses.count("FAIL") == 1
+        assert statuses[0 if fail == "first" else -1] == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(n=4),
+        SweepConfig(n=5, checks=("dyer", "bologna"), mode="sample", seed=11, sample_size=7),
+        SweepConfig(n=6, checks=("standard-hcd",), mode="exhaustive", max_interval_size=60),
+    ],
+    ids=["all-checks", "sample-seeded", "size-bound"],
+)
+def test_fingerprint_digest_is_the_sha256_of_hashlib(cfg):
+    import hashlib
+
+    from bruhatcubes.sweep import CONVENTIONS
+
+    blob = json.dumps({"config": cfg.fingerprint(), "conventions": CONVENTIONS}, sort_keys=True)
+    assert cfg.fingerprint_digest() == hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this Python has no built-in sha256 module",
+)
+def test_verify_loads_no_openssl():
+    # hashlib maps OpenSSL's libcrypto, a few MB of RSS; fp needs only the
+    # built-in sha256
+    code = (
+        "import sys\n"
+        "from bruhatcubes import cli\n"
+        "argv = ['verify', '--n', '3', '--checks', 'dyer', '--mode', 'exhaustive', '--no-cache']\n"
+        "assert cli.main(argv) == 0\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    proc = _python("-c", code, cache_env="")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == "# summary: PASS=19"
+    assert lines[-1] == "[]"
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the sweep enumerated pairs for a check that needs none")
 
@@ -823,8 +936,8 @@ def test_env_cache_file_is_loaded_once(tmp_path):
 
 def test_rtilde_command_imports_no_unused_stdlib_module():
     # hashlib maps OpenSSL's libcrypto, a few MB of RSS, and dataclasses pulls
-    # in inspect; only verify needs hashlib, only a JSON report needs
-    # datetime, and no command needs dataclasses
+    # in inspect; no command needs either, and only a JSON report needs
+    # datetime
     code = (
         "import sys\n"
         "heavy = ('hashlib', '_hashlib', 'dataclasses', 'datetime')\n"
